@@ -53,10 +53,7 @@ from repro.core.dependency_graph import (
     build_bipartite_graph,
 )
 
-try:  # numpy powers tier 2; everything degrades gracefully without it
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None
+import numpy as np
 
 #: Valid fast-path modes (``resolve_fastpath_mode`` normalizes aliases).
 FASTPATH_MODES = ("auto", "closed_form", "vectorized", "reference")
@@ -140,7 +137,7 @@ def build_graph_fast(
         )
         if graph is not None:
             return graph, "closed_form"
-    if mode in ("auto", "vectorized") and np is not None:
+    if mode in ("auto", "vectorized"):
         graph = _vectorized_graph(
             parent_summary, child_summary, pairs, max_explicit_edges
         )
@@ -450,7 +447,7 @@ def _segment_local_arange(reps):
 
 
 def _vectorized_graph(parent_summary, child_summary, pairs, max_explicit_edges):
-    """Tier 2: numpy join, or ``None`` to decline (no numpy/overflow)."""
+    """Tier 2: numpy join, or ``None`` to decline (overflow risk)."""
     num_parents = parent_summary.num_tbs
     num_children = child_summary.num_tbs
     if num_parents * num_children >= _INT64_GUARD:

@@ -1,6 +1,6 @@
 """Performance benchmarking & regression tracking (``repro bench``).
 
-Four pieces, one file format:
+The pieces, one file format:
 
 * :mod:`repro.bench.schema` — the versioned ``BENCH_<UTC>.json`` report
   shape, host/git metadata capture, and structural validation;
@@ -13,9 +13,12 @@ Four pieces, one file format:
   metrics;
 * :mod:`repro.bench.trend` — folds a directory of reports into a
   per-workload performance trajectory;
-* :mod:`repro.bench.fastpath` — the ``analysis-fastpath`` microbench
-  suite: scalar-reference vs tiered graph construction, before/after
-  reports plus a zero-drift gate (``repro bench fastpath``).
+* :mod:`repro.bench.tiers` — the before/after tier microbenches: the
+  analysis fast path and the fast engine, each against its scalar
+  oracle, with a zero-drift gate and a per-workload tier census
+  (``repro bench fastpath|engine``);
+* :mod:`repro.bench.serve` — the daemon load test
+  (``repro bench serve``).
 
 See ``docs/benchmarking.md`` for the workflow.
 """
@@ -39,38 +42,30 @@ from repro.bench.runner import (
 )
 from repro.bench.diff import Delta, DiffResult, diff_reports, format_diff
 from repro.bench.trend import find_reports, format_trend, load_reports, trend_rows
-from repro.bench.fastpath import (
-    FASTPATH_MODELS,
-    FASTPATH_WORKLOADS,
-    fastpath_config,
-    registry_tier_census,
-    run_fastpath_bench,
-)
+from repro.bench.tiers import SUITES, run_tier_bench, suite_config
 
 __all__ = [
     "BenchConfig",
     "DEFAULT_MODELS",
     "Delta",
     "DiffResult",
-    "FASTPATH_MODELS",
-    "FASTPATH_WORKLOADS",
     "FILE_PREFIX",
     "QUICK_MODELS",
     "QUICK_WORKLOADS",
     "REPORT_KIND",
     "SCHEMA_VERSION",
+    "SUITES",
     "bench_filename",
     "diff_reports",
-    "fastpath_config",
     "find_reports",
     "format_diff",
     "format_trend",
     "load_report",
     "load_reports",
-    "registry_tier_census",
     "resolve_config",
-    "run_fastpath_bench",
     "run_suite",
+    "run_tier_bench",
+    "suite_config",
     "trend_rows",
     "validate_report",
     "write_report",

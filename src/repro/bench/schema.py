@@ -234,52 +234,32 @@ def validate_report(payload):
         if not (isinstance(models, list) and models
                 and all(isinstance(m, str) for m in models)):
             errors.append("config.models: must be a non-empty list of strings")
-    cache = payload.get("cache")
-    if cache is not None:  # optional: present only for cache-enabled runs
-        if not isinstance(cache, dict):
-            errors.append("cache: not an object")
-        else:
-            if not isinstance(cache.get("dir"), str):
-                errors.append("cache.dir: missing or not a string")
-            counters = cache.get("counters")
-            if not isinstance(counters, dict):
-                errors.append("cache.counters: missing or not an object")
-            else:
-                for name, value in counters.items():
-                    if not _is_number(value):
-                        errors.append("cache.counters.{}: not a number".format(name))
-    fastpath = payload.get("fastpath")
-    if fastpath is not None:  # optional: present when any tier counter fired
-        if not isinstance(fastpath, dict):
-            errors.append("fastpath: not an object")
-        else:
-            if not isinstance(fastpath.get("mode"), str):
-                errors.append("fastpath.mode: missing or not a string")
-            counters = fastpath.get("counters")
-            if not isinstance(counters, dict):
-                errors.append("fastpath.counters: missing or not an object")
-            else:
-                for name, value in counters.items():
-                    if not _is_number(value):
-                        errors.append(
-                            "fastpath.counters.{}: not a number".format(name)
-                        )
-    engine = payload.get("engine")
-    if engine is not None:  # optional: present when any tier counter fired
-        if not isinstance(engine, dict):
-            errors.append("engine: not an object")
-        else:
-            if not isinstance(engine.get("mode"), str):
-                errors.append("engine.mode: missing or not a string")
-            counters = engine.get("counters")
-            if not isinstance(counters, dict):
-                errors.append("engine.counters: missing or not an object")
-            else:
-                for name, value in counters.items():
-                    if not _is_number(value):
-                        errors.append(
-                            "engine.counters.{}: not a number".format(name)
-                        )
+    # optional counter sections: cache-enabled runs record the cache
+    # dir, and runs where any fast-path/engine tier counter fired the mode
+    for section, field in (
+        ("cache", "dir"), ("fastpath", "mode"), ("engine", "mode"),
+    ):
+        entry = payload.get(section)
+        if entry is None:
+            continue
+        if not isinstance(entry, dict):
+            errors.append("{}: not an object".format(section))
+            continue
+        if not isinstance(entry.get(field), str):
+            errors.append(
+                "{}.{}: missing or not a string".format(section, field)
+            )
+        counters = entry.get("counters")
+        if not isinstance(counters, dict):
+            errors.append(
+                "{}.counters: missing or not an object".format(section)
+            )
+            continue
+        for name, value in counters.items():
+            if not _is_number(value):
+                errors.append(
+                    "{}.counters.{}: not a number".format(section, name)
+                )
     workloads = payload.get("workloads")
     if not isinstance(workloads, dict) or not workloads:
         errors.append("workloads: missing or empty")

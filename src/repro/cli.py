@@ -49,7 +49,7 @@ Commands:
                                       per-workload tier breakdown)
 * ``bench engine``                  — simulation-engine fast-path
                                       microbench: scalar event-queue
-                                      oracle vs tiered engine
+                                      oracle vs fast engine
                                       (``--census`` for the per-workload
                                       tier breakdown, ``docs/engine.md``)
 * ``serve [--host H --port P]``     — long-running simulation daemon:
@@ -70,17 +70,18 @@ Commands:
                                       cold-start baseline
 * ``fuzz [--count N] [--seed S]``   — differential fuzzing: seeded
                                       generator corpus, every
-                                      ``REPRO_FASTPATH`` mode and every
-                                      ``REPRO_ENGINE`` tier vs the
+                                      ``REPRO_FASTPATH`` mode and the
+                                      ``auto`` fast engine vs the
                                       scalar oracles, minimized repro
                                       files on divergence; exit 1 on
                                       any divergence
                                       (``docs/fuzzing.md``)
 
 ``run``, ``critpath``, and ``bench run`` accept ``--engine MODE`` to
-pin the simulation-engine tier (``auto`` | ``closed_form`` |
-``vectorized`` | ``reference``) for the invocation — equivalent to
-setting ``REPRO_ENGINE``, and inherited by worker processes.
+pin the simulation engine (``auto`` | ``reference``) for the
+invocation — equivalent to setting ``REPRO_ENGINE``, and inherited by
+worker processes.  An unknown ``REPRO_ENGINE`` or ``REPRO_FASTPATH``
+value exits with code 2 and a one-line message.
 
 Model names accept the roster (``baseline``, ``ideal``, ``prelaunch``,
 ``producer``, ``consumer2``..``consumer4``) plus the ``blockmaestro``
@@ -120,12 +121,9 @@ from repro.workloads import UnknownWorkloadError, all_workloads, get_workload
 MODEL_NAMES = [m[0] for m in STANDARD_MODELS]
 MODEL_CHOICES = MODEL_NAMES + sorted(MODEL_ALIASES)
 
-#: ``--engine`` values: canonical modes plus the aliases
-#: :func:`repro.models.fastengine.resolve_engine_mode` accepts
-ENGINE_CHOICES = (
-    "auto", "closed_form", "vectorized", "reference",
-    "on", "off", "scalar", "oracle",
-)
+#: ``--engine`` values: ``repro.models.fastengine.ENGINE_MODES``, spelled
+#: out so building the parser does not import the engine
+ENGINE_CHOICES = ("auto", "reference")
 
 
 def cmd_list(args):
@@ -680,103 +678,48 @@ def cmd_bench_diff(args):
     return 1 if result.failed(strict=args.strict) else 0
 
 
-def cmd_bench_fastpath(args):
-    from repro.bench import fastpath as fp
+def cmd_bench_tiers(args):
+    """``bench fastpath|engine``: one fast path against its oracle."""
+    from repro.bench import tiers
 
+    suite = tiers.SUITES[args.bench_command]
     if args.census:
-        census = fp.registry_tier_census()
-        print(fp.format_census(census))
-        if fp.census_closed_form_total(census) == 0:
-            print(
-                "error: closed-form tier fired on zero registry workloads",
-                file=sys.stderr,
-            )
+        census = suite.census()
+        print(tiers.format_census(census))
+        problem = suite.census_gate(census)
+        if problem:
+            print("error: {}".format(problem), file=sys.stderr)
             return 1
         return 0
     from repro.obs.log import get_logger
 
-    summary = fp.run_fastpath_bench(
+    summary = tiers.run_tier_bench(
+        suite,
         args.out,
         repeats=args.repeats,
         warmup=args.warmup,
         jobs=args.jobs,
         log=get_logger("bench").info,
     )
+    column = "{}_speedup".format(suite.phase)
     rows = [
-        {"workload": wname, "encode_speedup": speedup}
-        for wname, speedup in summary["encode_speedups"].items()
+        {"workload/model": key, column: speedup}
+        for key, speedup in summary["speedups"].items()
     ]
     print(
         format_table(
             rows,
-            ["workload", "encode_speedup"],
-            title="fastpath vs reference (encode-phase p50, cold)",
-        )
-    )
-    counters = summary["counters"]
-    prefix = "analysis.fastpath."
-    print(
-        "tiers: {}".format(
-            ", ".join(
-                "{} {:.0f}".format(name[len(prefix):], counters[name])
-                for name in sorted(counters)
-            ) or "(none)"
-        )
-    )
-    print("wrote", summary["before"])
-    print("wrote", summary["after"])
-    print("wrote", summary["diff"])
-    if summary["drift"]:
-        print(
-            "error: simulated drift between reference and fastpath runs — "
-            "the tiers must produce identical graphs (see {})".format(
-                summary["diff"]
+            ["workload/model", column],
+            title="{} vs reference ({}-phase p50, cold)".format(
+                suite.label, suite.phase
             ),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_bench_engine(args):
-    from repro.bench import engine as eng
-
-    if args.census:
-        census = eng.registry_engine_census()
-        print(eng.format_census(census))
-        if eng.census_closed_form_total(census) == 0:
-            print(
-                "error: closed-form tier fired on zero workloads",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    from repro.obs.log import get_logger
-
-    summary = eng.run_engine_bench(
-        args.out,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        jobs=args.jobs,
-        log=get_logger("bench").info,
-    )
-    rows = [
-        {"workload/model": key, "simulate_speedup": speedup}
-        for key, speedup in summary["simulate_speedups"].items()
-    ]
-    print(
-        format_table(
-            rows,
-            ["workload/model", "simulate_speedup"],
-            title="fast engine vs reference (simulate-phase p50, cold)",
         )
     )
     counters = summary["counters"]
-    prefix = "engine."
     print(
         "tiers: {}".format(
             ", ".join(
-                "{} {:.0f}".format(name[len(prefix):], counters[name])
+                "{} {:.0f}".format(name, counters[name])
                 for name in sorted(counters)
             ) or "(none)"
         )
@@ -786,9 +729,10 @@ def cmd_bench_engine(args):
     print("wrote", summary["diff"])
     if summary["drift"]:
         print(
-            "error: simulated drift between reference and fast-engine "
-            "runs — the tiers must produce identical RunStats (see "
-            "{})".format(summary["diff"]),
+            "error: simulated drift between reference and {} runs — "
+            "the tiers must produce identical results (see {})".format(
+                suite.label, summary["diff"]
+            ),
             file=sys.stderr,
         )
         return 1
@@ -961,8 +905,8 @@ def cmd_bench(args):
         "diff": cmd_bench_diff,
         "trend": cmd_bench_trend,
         "serve": cmd_bench_serve,
-        "fastpath": cmd_bench_fastpath,
-        "engine": cmd_bench_engine,
+        "fastpath": cmd_bench_tiers,
+        "engine": cmd_bench_tiers,
     }[args.bench_command]
     return handler(args)
 
@@ -1070,7 +1014,7 @@ def build_parser():
     )
     p_run.add_argument(
         "--engine", choices=ENGINE_CHOICES, default=None,
-        help="pin the simulation-engine tier for this run "
+        help="pin the simulation engine for this run "
              "(same as REPRO_ENGINE; default: auto)",
     )
 
@@ -1178,7 +1122,7 @@ def build_parser():
     )
     p_cp.add_argument(
         "--engine", choices=ENGINE_CHOICES, default=None,
-        help="pin the simulation-engine tier (provenance recording "
+        help="pin the simulation engine (provenance recording "
              "forces the reference oracle; the fallback is counted)",
     )
 
@@ -1262,8 +1206,9 @@ def build_parser():
 
     p_fuzz = sub.add_parser(
         "fuzz",
-        help="differential fuzzing: seeded corpus, fastpath tiers vs "
-             "the scalar oracle, shrinking repro files on divergence",
+        help="differential fuzzing: seeded corpus, fastpath tiers and "
+             "the fast engine vs the scalar oracles, shrinking repro "
+             "files on divergence",
     )
     p_fuzz.add_argument(
         "--count", type=int, default=50, metavar="N",
@@ -1280,9 +1225,8 @@ def build_parser():
     )
     p_fuzz.add_argument(
         "--engines", nargs="+", default=None, metavar="TIER",
-        help="engine tiers to check against the scalar oracle "
-             "(default: closed_form vectorized auto; 'none' disables "
-             "the engine sweep)",
+        help="engine modes to check against the scalar oracle "
+             "(default: auto; 'none' disables the engine sweep)",
     )
     p_fuzz.add_argument(
         "--model", choices=MODEL_CHOICES, default="consumer3"
@@ -1423,7 +1367,7 @@ def build_parser():
     )
     b_run.add_argument(
         "--engine", choices=ENGINE_CHOICES, default=None,
-        help="pin the simulation-engine tier for every cell "
+        help="pin the simulation engine for every cell "
              "(same as REPRO_ENGINE; inherited by --jobs workers)",
     )
 
@@ -1451,51 +1395,37 @@ def build_parser():
              "print the first-divergence jdiff",
     )
 
-    b_fp = bench_sub.add_parser(
-        "fastpath",
-        help="analysis-fastpath microbench: reference vs tiered graph "
-             "build, before/after reports + DIFF (docs/analysis.md)",
-    )
-    b_fp.add_argument(
-        "--out", default="fastpath-bench", metavar="DIR",
-        help="output directory for the two reports and DIFF.txt "
-             "(default: fastpath-bench)",
-    )
-    b_fp.add_argument("--repeats", type=int, default=3, metavar="N")
-    b_fp.add_argument("--warmup", type=int, default=1, metavar="N")
-    b_fp.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per pass (default 1)",
-    )
-    b_fp.add_argument(
-        "--census", action="store_true",
-        help="instead of benchmarking, print which tier serves each "
-             "registry workload; exit 1 if closed-form never fires",
-    )
-
-    b_eng = bench_sub.add_parser(
-        "engine",
-        help="simulation-engine microbench: scalar event-queue oracle "
-             "vs tiered fast engine, before/after reports + DIFF "
-             "(docs/engine.md)",
-    )
-    b_eng.add_argument(
-        "--out", default="engine-bench", metavar="DIR",
-        help="output directory for the two reports and DIFF.txt "
-             "(default: engine-bench)",
-    )
-    b_eng.add_argument("--repeats", type=int, default=3, metavar="N")
-    b_eng.add_argument("--warmup", type=int, default=1, metavar="N")
-    b_eng.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per pass (default 1)",
-    )
-    b_eng.add_argument(
-        "--census", action="store_true",
-        help="instead of benchmarking, print which engine tier "
-             "simulates each workload under a jitter-free config; "
-             "exit 1 if closed-form never fires",
-    )
+    for name, help_text, census_help in (
+        (
+            "fastpath",
+            "analysis-fastpath microbench: reference vs tiered graph "
+            "build, before/after reports + DIFF (docs/analysis.md)",
+            "instead of benchmarking, print which tier serves each "
+            "registry workload; exit 1 if closed-form never fires",
+        ),
+        (
+            "engine",
+            "simulation-engine microbench: scalar event-queue oracle "
+            "vs fast engine, before/after reports + DIFF "
+            "(docs/engine.md)",
+            "instead of benchmarking, print which engine tier "
+            "simulates each workload; exit 1 unless the fast engine "
+            "serves every baseline run",
+        ),
+    ):
+        b_tier = bench_sub.add_parser(name, help=help_text)
+        b_tier.add_argument(
+            "--out", default="{}-bench".format(name), metavar="DIR",
+            help="output directory for the two reports and DIFF.txt "
+                 "(default: {}-bench)".format(name),
+        )
+        b_tier.add_argument("--repeats", type=int, default=3, metavar="N")
+        b_tier.add_argument("--warmup", type=int, default=1, metavar="N")
+        b_tier.add_argument(
+            "--jobs", type=int, default=1, metavar="N",
+            help="worker processes per pass (default 1)",
+        )
+        b_tier.add_argument("--census", action="store_true", help=census_help)
 
     b_trend = bench_sub.add_parser(
         "trend", help="per-workload trajectory across all BENCH_*.json"
@@ -1611,7 +1541,7 @@ def build_parser():
     )
     c_run.add_argument(
         "--engine", choices=ENGINE_CHOICES, default=None,
-        help="pin the daemon's simulation-engine tier for this request",
+        help="pin the daemon's simulation engine for this request",
     )
     c_run.add_argument(
         "--journal", action="store_true",
@@ -1698,6 +1628,26 @@ COMMANDS = {
 }
 
 
+def _mode_env_error():
+    """One line naming a bad ``REPRO_ENGINE``/``REPRO_FASTPATH``, or ``None``.
+
+    Checked before dispatch so a typo is a usage error, not a traceback
+    from deep inside the first simulation.
+    """
+    from repro.analysis.fastpath import FASTPATH_ENV, resolve_fastpath_mode
+    from repro.models.fastengine import ENGINE_ENV, resolve_engine_mode
+
+    for env, resolve in (
+        (ENGINE_ENV, resolve_engine_mode),
+        (FASTPATH_ENV, resolve_fastpath_mode),
+    ):
+        try:
+            resolve()
+        except ValueError as exc:
+            return "{}: {}".format(env, exc)
+    return None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.log is not None or args.log_json:
@@ -1707,6 +1657,10 @@ def main(argv=None):
             spec=args.log,
             json_lines=True if args.log_json else None,
         )
+    problem = _mode_env_error()
+    if problem:
+        print("error: {}".format(problem), file=sys.stderr)
+        return 2
     try:
         return COMMANDS[args.command](args) or 0
     except (UnknownWorkloadError, UnknownModelError) as exc:

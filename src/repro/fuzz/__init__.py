@@ -4,8 +4,8 @@
 
 * :func:`resolve_fuzz_config` / :func:`run_fuzz` — the corpus runner,
   fanning cases out over :class:`~repro.parallel.SuiteExecutor`;
-* :func:`check_case` — one case, every fastpath mode and fast-engine
-  tier vs the scalar oracles across graphs / signatures / journals /
+* :func:`check_case` — one case, every fastpath mode and the fast
+  engine vs the scalar oracles across graphs / signatures / journals /
   per-TB records / critpath / telemetry;
 * :func:`shrink_case` + the ``repro-fuzz-case`` file helpers — greedy
   minimization and replayable regression artifacts.

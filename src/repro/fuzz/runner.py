@@ -19,13 +19,12 @@ scalar ``reference`` oracle and once under every candidate
   consistency errors must stay within tolerance, both observation-only
   (neither pass may perturb the signature).
 
-Alongside the ``REPRO_FASTPATH`` sweep, every candidate
-``REPRO_ENGINE`` tier (:mod:`repro.models.fastengine`) is swept on the
-oracle plan — **engine** checks compare each tier's simulated
-signature *and* full per-thread-block records against the scalar
-event-queue engine, on the case's model and (when different) the
-always-eligible ``baseline`` model, observer-free so the fast tiers
-actually engage.
+Alongside the ``REPRO_FASTPATH`` sweep, the ``auto`` fast engine
+(:mod:`repro.models.fastengine`) is run on the oracle plan —
+**engine** checks compare its simulated signature *and* full
+per-thread-block records against the scalar event-queue engine, on the
+case's model and (when different) the always-eligible ``baseline``
+model, observer-free so the fast tier actually engages.
 
 Everything a case produces is deterministic — no wall clock, no
 hash-order dependence — so a per-case content digest and the corpus
@@ -45,8 +44,8 @@ FUZZ_REPORT_SCHEMA_VERSION = 1
 
 #: candidate tiers checked against the always-implicit reference oracle
 DEFAULT_MODES = ("closed_form", "vectorized", "auto")
-#: candidate engine tiers checked against the scalar event-queue oracle
-DEFAULT_ENGINES = ("closed_form", "vectorized", "auto")
+#: candidate engine modes checked against the scalar event-queue oracle
+DEFAULT_ENGINES = ("auto",)
 ORACLE_MODE = "reference"
 DEFAULT_MODEL = "consumer3"
 
@@ -273,13 +272,13 @@ def _tb_tuple(stats):
 
 
 def _engine_sweep(ref_plan, model_name, gpu_config, engines):
-    """Check every engine tier against the scalar oracle on one plan.
+    """Check every candidate engine mode against the scalar oracle.
 
     Observer-free on purpose: journal/provenance/telemetry hooks make
     the fast engine fall back to the reference path, which would turn
     the sweep into reference-vs-reference.  The case's model is swept
     plus — when it differs — ``baseline``, whose coarse dependency
-    options keep every plan fast-engine eligible, so the tiers engage
+    options keep every plan fast-engine eligible, so the tier engages
     even when the case model's fine-grain plan declines.
     """
     from repro.experiments.common import _make_model

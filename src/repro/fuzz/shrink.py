@@ -204,8 +204,8 @@ def validate_case(case):
         errors.append("modes: missing or not a list")
     # "engines" is optional: case files predating the engine sweep
     # (schema additions are backward compatible) simply omit it
-    if "engines" in case and not isinstance(case["engines"], list):
-        errors.append("engines: not a list")
+    if "engines" in case:
+        errors.extend(_engine_errors(case["engines"]))
     if not isinstance(case.get("model"), str):
         errors.append("model: missing")
     if not isinstance(case.get("divergences"), list):
@@ -221,6 +221,20 @@ def validate_case(case):
         else:
             if not parsed.kernels:
                 errors.append("spec.kernels: empty")
+    return errors
+
+
+def _engine_errors(engines):
+    from repro.models.fastengine import resolve_engine_mode
+
+    if not isinstance(engines, list):
+        return ["engines: not a list"]
+    errors = []
+    for engine in engines:
+        try:
+            resolve_engine_mode(engine)
+        except ValueError as exc:
+            errors.append("engines: {}".format(exc))
     return errors
 
 

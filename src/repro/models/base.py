@@ -140,13 +140,13 @@ class ExecutionModel:
         Instrumentation is observation only — results are identical
         whether or not a tracer or recorder is attached.
 
-        ``engine`` selects the simulation tier
+        ``engine`` selects the simulation engine
         (:func:`repro.models.fastengine.resolve_engine_mode`; ``None``
-        reads ``REPRO_ENGINE``, default ``auto``).  Fast tiers produce
-        bit-identical :class:`RunStats`; any run carrying a
+        reads ``REPRO_ENGINE``, default ``auto``).  The fast tier
+        produces bit-identical :class:`RunStats`; any run carrying a
         provenance/journal/telemetry observer silently uses the scalar
         reference engine, since observers hook per-event injection
-        points the batched tiers skip.
+        points the batched tier skips.
         """
         # imported lazily: repro.models.fastengine builds on this module
         from repro.models import fastengine
@@ -170,8 +170,7 @@ class ExecutionModel:
                     metrics.inc("engine.fallback.observers")
                 else:
                     stats = fastengine.run_fast(
-                        plan, self.gpu_config, options, mode, tracer,
-                        metrics,
+                        plan, self.gpu_config, options, tracer, metrics,
                     )
                     if stats is not None:
                         return stats
@@ -273,10 +272,10 @@ class ExecutionEngine:
         self.call_enqueued_ns = [0.0] * len(plan.order)
         self.call_started = [False] * len(plan.order)
         self.tb_records: List[TBRecord] = []
-        self.counters: Dict[str, float] = {
-            "dispatch_passes": 0.0,
-            "host_blocks": 0.0,
-        }
+        self.counters: Dict[str, float] = {"host_blocks": 0.0}
+        #: the scalar engine's own work, not a simulated event: kept out
+        #: of ``RunStats.counters`` so every engine reports the same stats
+        self.dispatch_passes = 0.0
         self._host_cursor = 0
         self._host_time = 0.0
         self._call_waiters: Dict[int, list] = {}
@@ -422,7 +421,7 @@ class ExecutionEngine:
             self.metrics, stats,
             events_processed=self.events.processed,
             peak_pending=self.events.peak_pending,
-            counters=self.counters,
+            counters=dict(self.counters, dispatch_passes=self.dispatch_passes),
         )
 
     def _check_all_complete(self):
@@ -890,7 +889,7 @@ class ExecutionEngine:
         return True
 
     def _dispatch(self):
-        self.counters["dispatch_passes"] += 1
+        self.dispatch_passes += 1
         now = self.events.now
         for ks in self._kernel_dispatch_order():
             if not ks.ready or not self._producer_gate_ok(ks):
@@ -1026,7 +1025,7 @@ class ExecutionEngine:
 # ----------------------------------------------------------------------
 # shared observability emitters (pure observation, derived from the
 # finished run's records — used by both the scalar engine above and the
-# batched tiers in repro.models.fastengine, so trace and metrics output
+# batched tier in repro.models.fastengine, so trace and metrics output
 # is identical whichever engine produced the stats)
 # ----------------------------------------------------------------------
 def emit_engine_trace(tracer, plan, call_enqueued_ns, call_done_ns, stats):

@@ -21,7 +21,7 @@ The ``fast-engine`` microbench workloads (:func:`engine_specs`) are the
 simulation-phase mirror image: long kernel chains whose dependency
 analysis is closed-form cheap but whose thread-block population makes
 the scalar event loop the dominant cost — the measurement bed for the
-:mod:`repro.models.fastengine` tiers (``repro bench engine``).  They
+:mod:`repro.models.fastengine` tier (``repro bench engine``).  They
 are hidden for the same reason.
 """
 
@@ -221,8 +221,8 @@ def build_engine_chain(num_kernels=12, num_tbs=4096, intensity=4.0):
 
     Dependency analysis collapses every hop to the closed-form Table-I
     diagonal, but the scalar engine still pays ``num_kernels * num_tbs``
-    per-block event lifecycles — exactly the cost the fast engine tiers
-    remove.
+    per-block event lifecycles — exactly the cost the fast engine
+    removes.
     """
     b = AppBuilder("eng-chain-k{}-n{}".format(num_kernels, num_tbs))
     elems = num_tbs * _THREADS
@@ -258,7 +258,7 @@ def build_engine_wide(num_tbs=65536, intensity=4.0):
 def build_engine_fc(num_kernels=6, num_tbs=512, intensity=4.0):
     """A chain of full-buffer readers: every hop is fully connected, so
     fine-grain models gate children on the whole parent kernel and the
-    fast tiers cover the entire roster on this workload."""
+    fast engine covers the entire roster on this workload."""
     b = AppBuilder("eng-fc-k{}-n{}".format(num_kernels, num_tbs))
     elems = num_tbs * _THREADS
     x = b.alloc("X", elems * _ELEM)
@@ -293,7 +293,7 @@ def engine_specs():
     """Hidden :class:`~repro.workloads.registry.WorkloadSpec` rows for
     the ``fast-engine`` microbench suite (``repro bench engine``):
     simulation-heavy chains where the simulate phase dominates a cold
-    pass, so the :mod:`repro.models.fastengine` tiers carry the win."""
+    pass, so the :mod:`repro.models.fastengine` tier carries the win."""
     from repro.workloads.registry import WorkloadSpec
 
     return (

@@ -210,3 +210,19 @@ class TestErrorExits:
         assert main(["bench", "run", "--models", "warpdrive"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unknown model" in err
+
+    def test_bad_engine_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_ENGINE", "bogus")
+        assert main(["run", "path"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: REPRO_ENGINE: unknown engine mode")
+        assert err.count("\n") == 1
+
+    def test_bad_fastpath_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_FASTPATH", "bogus")
+        assert main(["run", "path"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: REPRO_FASTPATH: unknown fastpath mode")
+        assert err.count("\n") == 1

@@ -1,14 +1,14 @@
 """Differential gate: the engine fast path must change nothing.
 
-The :mod:`repro.models.fastengine` tiers are pure wall-clock
-optimizations over the scalar event-queue engine — by construction they
+The :mod:`repro.models.fastengine` tier is a pure wall-clock
+optimization over the scalar event-queue engine — by construction it
 may not perturb a single simulated value.  For every registry workload
-(small variants) and every roster model, each requested tier must
-produce a byte-identical :meth:`RunStats.simulated_signature` *and*
-identical ordered per-thread-block records against
-``REPRO_ENGINE=reference``; ``auto`` additionally has to pick a fast
-tier on the eligible (workload, model) pairs, which the census test
-pins down.
+(small variants) and every roster model, on the default (jittered) and
+a jitter-free config, ``auto`` must produce a byte-identical
+:meth:`RunStats.simulated_signature`, identical ordered per-thread-block
+records and identical ``run_stats_dict`` JSON against
+``REPRO_ENGINE=reference``; it additionally has to pick the fast tier on
+the eligible (workload, model) pairs, which the census test pins down.
 """
 
 import json
@@ -22,11 +22,13 @@ from repro.experiments.common import (
     _model_plan_params,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import run_stats_dict
 from repro.sim.config import GPUConfig
 from repro.workloads import all_workloads, get_workload
 
 MODEL_NAMES = [m[0] for m in STANDARD_MODELS]
-ENGINE_TIERS = ("closed_form", "vectorized", "auto")
+#: the default config (duration jitter on) and uniform per-TB durations
+CONFIGS = (None, GPUConfig(duration_jitter=0.0))
 
 
 def _run(app, model_name, engine, config=None, metrics=None):
@@ -39,7 +41,8 @@ def _run(app, model_name, engine, config=None, metrics=None):
 
 
 def _surface(stats):
-    """Signature + full ordered TB lifecycle, as one comparable blob."""
+    """Signature + full ordered TB lifecycle + the ``run --json``
+    payload, as one comparable blob."""
     return (
         json.dumps(stats.simulated_signature(), sort_keys=True),
         tuple(
@@ -47,60 +50,38 @@ def _surface(stats):
              r.finish_ns, r.sm)
             for r in stats.tb_records
         ),
+        json.dumps(run_stats_dict(stats), sort_keys=True),
     )
 
 
 @pytest.mark.parametrize("wname", [s.name for s in all_workloads()])
 def test_every_tier_matches_reference(wname):
-    """12 registry workloads x 7 roster models x 3 tiers vs the oracle."""
+    """12 registry workloads x 7 roster models x 2 configs vs the oracle."""
     app = get_workload(wname).build_small()
-    for model_name in MODEL_NAMES:
-        oracle = _surface(_run(app, model_name, "reference"))
-        for tier in ENGINE_TIERS:
-            candidate = _surface(_run(app, model_name, tier))
-            assert candidate == oracle, (wname, model_name, tier)
+    for config in CONFIGS:
+        for model_name in MODEL_NAMES:
+            oracle = _surface(_run(app, model_name, "reference", config))
+            candidate = _surface(_run(app, model_name, "auto", config))
+            assert candidate == oracle, (wname, model_name, config)
 
 
 @pytest.mark.parametrize("wname", ["eng-chain", "eng-wide", "eng-fc"])
 def test_engine_microbenches_match_reference(wname):
     app = get_workload(wname).build_small()
-    for model_name in ("baseline", "consumer3"):
-        oracle = _surface(_run(app, model_name, "reference"))
-        for tier in ENGINE_TIERS:
-            assert _surface(_run(app, model_name, tier)) == oracle, (
-                wname, model_name, tier,
-            )
+    for config in CONFIGS:
+        for model_name in ("baseline", "consumer3"):
+            oracle = _surface(_run(app, model_name, "reference", config))
+            candidate = _surface(_run(app, model_name, "auto", config))
+            assert candidate == oracle, (wname, model_name, config)
 
 
 def test_auto_uses_vectorized_tier_on_coarse_models():
-    """Default config carries duration jitter, so auto lands on tier 2."""
+    """baseline on a device-serial chain runs on the fast tier."""
     app = get_workload("eng-wide").build_small()
     metrics = MetricsRegistry()
     _run(app, "baseline", "auto", metrics=metrics)
     counters = metrics.snapshot()["counters"]
     assert counters.get("engine.tier.vectorized") == 1
-
-
-def test_auto_uses_closed_form_without_jitter():
-    """Uniform durations (jitter off) make tier 1 fire — and match."""
-    config = GPUConfig(duration_jitter=0.0)
-    app = get_workload("eng-chain").build_small()
-    metrics = MetricsRegistry()
-    fast = _run(app, "baseline", "auto", config=config, metrics=metrics)
-    counters = metrics.snapshot()["counters"]
-    assert counters.get("engine.tier.closed_form") == 1
-    oracle = _run(app, "baseline", "reference", config=config)
-    assert _surface(fast) == _surface(oracle)
-
-
-def test_closed_form_mode_declines_jittered_durations():
-    """Explicit closed_form on nonuniform durations falls back, counted."""
-    app = get_workload("eng-wide").build_small()
-    metrics = MetricsRegistry()
-    _run(app, "baseline", "closed_form", metrics=metrics)
-    counters = metrics.snapshot()["counters"]
-    assert counters.get("engine.fallback.nonuniform_durations") == 1
-    assert counters.get("engine.tier.reference") == 1
 
 
 def test_fine_grain_fc_chain_is_eligible():
@@ -118,7 +99,7 @@ def test_wireframe_capacity_model_declines_to_reference():
     """ready_capacity (Wireframe's pending-buffer cap) is event-level —
     the buffer refills within one timestamp, so occupancy is not simply
     ``min(width, capacity)``.  The certificate must decline (counted)
-    and every tier must therefore equal the oracle exactly."""
+    and ``auto`` must therefore equal the oracle exactly."""
     from repro.models import WireframeModel
 
     app = get_workload("eng-fc").build_small()
@@ -126,13 +107,12 @@ def test_wireframe_capacity_model_declines_to_reference():
     plan = runtime.plan(app, reorder=True, window=3)
     model = WireframeModel(runtime.config)
     oracle = _surface(model.run(plan, engine="reference"))
-    for tier in ENGINE_TIERS:
-        metrics = MetricsRegistry()
-        stats = model.run(plan, metrics=metrics, engine=tier)
-        assert _surface(stats) == oracle, tier
-        counters = metrics.snapshot()["counters"]
-        assert counters.get("engine.fallback.ready_capacity") == 1, tier
-        assert counters.get("engine.tier.reference") == 1, tier
+    metrics = MetricsRegistry()
+    stats = model.run(plan, metrics=metrics, engine="auto")
+    assert _surface(stats) == oracle
+    counters = metrics.snapshot()["counters"]
+    assert counters.get("engine.fallback.ready_capacity") == 1
+    assert counters.get("engine.tier.reference") == 1
 
 
 def test_env_variable_selects_tier(monkeypatch):
@@ -154,15 +134,13 @@ def test_env_variable_selects_tier(monkeypatch):
     assert surfaces["auto"] == surfaces["reference"]
 
 
-def test_registry_census_closed_form_fires():
-    """The CI gate's backing function: on jitter-free configs the
-    closed-form tier serves every registry + engine microbench run."""
-    from repro.bench.engine import (
-        census_closed_form_total,
-        registry_engine_census,
-    )
+def test_registry_census_fast_engine_serves_baseline():
+    """The CI gate's backing function: on the default (jittered) config
+    the fast engine serves every registry + engine microbench
+    ``baseline`` run."""
+    from repro.bench.tiers import ENGINE
 
-    census = registry_engine_census()
-    assert census_closed_form_total(census) >= len(census)
+    census = ENGINE.census()
+    assert ENGINE.census_gate(census) is None
     for name, tiers in census.items():
-        assert tiers.get("tier.closed_form", 0) >= 1, name
+        assert tiers == {"tier.vectorized": 1}, name

@@ -16,6 +16,7 @@ from repro.core.runtime import BlockMaestroRuntime
 from repro.experiments.common import _make_model
 from repro.models.fastengine import (
     ENGINE_ENV,
+    ENGINE_MODES,
     certify_device_serial,
     resolve_engine_mode,
 )
@@ -36,30 +37,33 @@ class TestResolveEngineMode:
         assert resolve_engine_mode(None) == "auto"
 
     def test_env_is_consulted(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "vectorized")
-        assert resolve_engine_mode() == "vectorized"
+        monkeypatch.setenv(ENGINE_ENV, "reference")
+        assert resolve_engine_mode() == "reference"
 
     def test_explicit_value_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "vectorized")
-        assert resolve_engine_mode("reference") == "reference"
+        monkeypatch.setenv(ENGINE_ENV, "reference")
+        assert resolve_engine_mode("auto") == "auto"
 
     def test_empty_env_means_auto(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "")
         assert resolve_engine_mode() == "auto"
 
     @pytest.mark.parametrize("alias,canonical", [
-        ("off", "reference"),
-        ("scalar", "reference"),
-        ("oracle", "reference"),
-        ("on", "auto"),
-        ("closed-form", "closed_form"),
         ("  AUTO  ", "auto"),
-        ("Vectorized", "vectorized"),
+        ("Reference", "reference"),
     ])
     def test_aliases_and_normalization(self, alias, canonical):
         assert resolve_engine_mode(alias) == canonical
 
-    @pytest.mark.parametrize("bad", ["fast", "none", "1", "turbo"])
+    def test_exactly_two_modes(self):
+        assert ENGINE_MODES == ("auto", "reference")
+
+    # the retired tier names and aliases are unknown, not silently mapped
+    @pytest.mark.parametrize("bad", [
+        "fast", "none", "1", "turbo",
+        "off", "on", "scalar", "oracle",
+        "closed-form", "closed_form", "Vectorized",
+    ])
     def test_unknown_mode_raises(self, bad):
         with pytest.raises(ValueError):
             resolve_engine_mode(bad)

@@ -213,18 +213,6 @@ class TestBuildGraphFast:
         assert tier == "reference"
         assert all(graph.children(p) == (p,) for p in range(8))
 
-    def test_without_numpy_vectorized_falls_back(self, monkeypatch):
-        parent = make_summary(
-            [record("write", 0, (64, 256, 0), width=64)], (4, 4)
-        )
-        child = make_summary(
-            [record("read", 0, (0, 256, 0), width=256)], (4, 4)
-        )
-        monkeypatch.setattr(fastpath, "np", None)
-        graph, tier = build_graph_fast(parent, child)
-        assert tier == "reference"
-        assert graph == build_bipartite_graph(parent, child)
-
     def test_edge_budget_collapse_all_tiers(self):
         # radius-1 stencil: 3 edges/child interior; budget 4 collapses
         parent = make_summary([record("write", 0, (64, 0, 0), width=64)], (6,))

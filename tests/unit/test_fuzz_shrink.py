@@ -114,6 +114,16 @@ class TestReplay:
         with pytest.raises(ValueError):
             write_case({"kind": "nonsense"}, str(tmp_path))
 
+    def test_unknown_engine_fails_validation(self):
+        spec = FuzzSpec.from_seed(CANARY_SEED)
+        valid = make_case(spec, [], MODES, "consumer3",
+                          source_seed=CANARY_SEED, engines=["auto"])
+        assert validate_case(valid) == []
+        retired = dict(valid, engines=["auto", "closed_form"])
+        errors = validate_case(retired)
+        assert len(errors) == 1
+        assert errors[0].startswith("engines: unknown engine mode 'closed_form'")
+
     def test_case_file_is_schema_versioned_json(self, planted_bug, tmp_path):
         spec = FuzzSpec.from_seed(CANARY_SEED)
         target = check_case(spec, modes=MODES)["divergences"][0]
