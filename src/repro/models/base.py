@@ -40,6 +40,7 @@ Semantics implemented here:
   all its TBs finished and its predecessor completed (Section III-B.1).
 """
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -192,6 +193,9 @@ class ExecutionModel:
 @dataclass
 class _KernelState:
     plan: object  # KernelPlan
+    #: read once from the plan: the hot paths compare against them
+    num_tbs: int = 0
+    threads_per_tb: int = 0
     enqueued_ns: Optional[float] = None
     launch_begin_ns: Optional[float] = None
     resident_ns: Optional[float] = None
@@ -265,12 +269,30 @@ class ExecutionEngine:
             gpu_config, tracer=self.tracer, metrics=self.metrics
         )
         self.timing = gpu_config.timing
-        self.kernels = [_KernelState(plan=kp) for kp in plan.kernels]
+        self.kernels = [
+            _KernelState(
+                plan=kp, num_tbs=kp.num_tbs, threads_per_tb=kp.threads_per_tb
+            )
+            for kp in plan.kernels
+        ]
+        #: indices of resident kernels with TBs still to dispatch, in
+        #: kernel-index order: the TB scheduler's candidates
+        self._active: List[int] = []
+        #: kernels that list each kernel in ``cross_stream_deps``
+        self._cross_dependents: Dict[int, List[int]] = {}
+        for kp in plan.kernels:
+            for dep in kp.cross_stream_deps:
+                dependents = self._cross_dependents.setdefault(dep, [])
+                if kp.kernel_index not in dependents:
+                    dependents.append(kp.kernel_index)
         self.call_done = [False] * len(plan.order)
         self.call_done_ns = [0.0] * len(plan.order)
         self.call_enqueued = [False] * len(plan.order)
         self.call_enqueued_ns = [0.0] * len(plan.order)
         self.call_started = [False] * len(plan.order)
+        #: enqueued, not yet started non-kernel commands, in position
+        #: order: the only commands ``_pump`` can start
+        self._pump_candidates: List[int] = []
         self.tb_records: List[TBRecord] = []
         self.counters: Dict[str, float] = {"host_blocks": 0.0}
         #: the scalar engine's own work, not a simulated event: kept out
@@ -298,6 +320,15 @@ class ExecutionEngine:
                 kp.kernel_index
             )
         self._stream_launch_cursor: Dict[int, int] = {
+            s: 0 for s in self._stream_kernels
+        }
+        #: launched, not yet completed kernels per stream (launch window)
+        self._stream_in_flight: Dict[int, int] = {
+            s: 0 for s in self._stream_kernels
+        }
+        #: leading kernels of each stream that dispatched all their TBs
+        #: (producer-priority gate)
+        self._stream_dispatched_prefix: Dict[int, int] = {
             s: 0 for s in self._stream_kernels
         }
 
@@ -438,7 +469,7 @@ class ExecutionEngine:
         for ks in stuck_kernels:
             ki = ks.plan.kernel_index
             unreleased = [
-                tb for tb in range(ks.plan.num_tbs)
+                tb for tb in range(ks.num_tbs)
                 if tb not in ks.tb_finish_ns
             ]
             stuck_tbs = []
@@ -446,7 +477,7 @@ class ExecutionEngine:
                 if ks.pending_counters is not None:
                     prev = ks.plan.chain_prev
                     parent = self.kernels[prev] if prev is not None else None
-                    parents = self._parents_of.get(ki, [[]] * ks.plan.num_tbs)
+                    parents = self._parents_of.get(ki, [[]] * ks.num_tbs)
                     unmet = [
                         p for p in parents[tb]
                         if parent is None or p not in parent.tb_finish_ns
@@ -468,7 +499,7 @@ class ExecutionEngine:
                 "index": ki,
                 "name": ks.plan.name,
                 "finished": ks.finished,
-                "num_tbs": ks.plan.num_tbs,
+                "num_tbs": ks.num_tbs,
                 "unreleased": len(unreleased),
                 "stuck_tbs": stuck_tbs,
             })
@@ -513,7 +544,7 @@ class ExecutionEngine:
                 KernelRecord(
                     index=ks.plan.kernel_index,
                     name=ks.plan.name,
-                    num_tbs=ks.plan.num_tbs,
+                    num_tbs=ks.num_tbs,
                     queued_ns=ks.enqueued_ns or 0.0,
                     launch_begin_ns=ks.launch_begin_ns or 0.0,
                     resident_ns=ks.resident_ns or 0.0,
@@ -596,25 +627,29 @@ class ExecutionEngine:
         if isinstance(call, KernelLaunchCall):
             ki = self.plan.kernel_at_position[position]
             self.kernels[ki].enqueued_ns = self.events.now
+        else:  # kernels go through the launch engine
+            insort(self._pump_candidates, position)
         self._pump()
 
     def _pump(self):
-        """Start every startable command; called on all state changes."""
+        """Start every startable command; called on all state changes.
+
+        Only enqueued, not yet started non-kernel commands can start, so
+        the scan covers those alone, in position order.
+        """
+        candidates = self._pump_candidates
         progress = True
         while progress:
             progress = False
-            for position, call in enumerate(self.plan.order):
-                if (
-                    self.call_started[position]
-                    or not self.call_enqueued[position]
-                    or not self._prereqs_done(position)
-                ):
+            waiting = []
+            for position in candidates:
+                if not self._prereqs_done(position):
+                    waiting.append(position)
                     continue
-                if isinstance(call, KernelLaunchCall):
-                    continue  # kernels go through the launch engine
                 self.call_started[position] = True
                 progress = True
-                self._start_command(position, call)
+                self._start_command(position, self.plan.order[position])
+            candidates[:] = waiting
         self._try_launch()
         self._dispatch()
 
@@ -662,13 +697,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # launch engine
     # ------------------------------------------------------------------
-    def _kernels_in_flight(self, stream):
-        return sum(
-            1
-            for ki in self._stream_kernels.get(stream, ())
-            if self.kernels[ki].launched and not self.kernels[ki].completed
-        )
-
     def _try_launch(self):
         """Launch every queued kernel the pre-launch windows allow.
 
@@ -690,9 +718,10 @@ class ExecutionEngine:
                     break
                 if not self._prereqs_done_for_kernel(position):
                     break
-                if self._kernels_in_flight(stream) >= self.opts.window:
+                if self._stream_in_flight[stream] >= self.opts.window:
                     break
                 ks.launched = True
+                self._stream_in_flight[stream] += 1
                 ks.launch_begin_ns = self.events.now
                 ks.input_ready_ns = self._input_ready_ns(position)
                 if self.prov is not None:
@@ -756,6 +785,8 @@ class ExecutionEngine:
         ks = self.kernels[ki]
         ks.resident = True
         ks.resident_ns = self.events.now
+        if ks.dispatched < ks.num_tbs:
+            insort(self._active, ki)
         self._journal_emit("kernel_resident", kernel=ki, name=ks.plan.name)
         self._refresh_ready(ki)
         self._pump()
@@ -806,7 +837,7 @@ class ExecutionEngine:
                 elif graph.is_independent:
                     self._push_all_tbs(ks)
                 else:
-                    for tb in range(ks.plan.num_tbs):
+                    for tb in range(ks.num_tbs):
                         if ks.pending_counters[tb] == 0:
                             self._push_ready(ks, tb)
             else:
@@ -814,7 +845,7 @@ class ExecutionEngine:
         self._drain_deferred(ks)
 
     def _push_all_tbs(self, ks):
-        for tb in range(ks.plan.num_tbs):
+        for tb in range(ks.num_tbs):
             self._push_ready(ks, tb)
 
     def _tracked_tasks(self, ks):
@@ -865,28 +896,35 @@ class ExecutionEngine:
     # dispatch
     # ------------------------------------------------------------------
     def _kernel_dispatch_order(self):
-        active = [
-            ks
-            for ks in self.kernels
-            if ks.resident and ks.dispatched < ks.plan.num_tbs
-        ]
+        """Resident kernels with TBs left to dispatch, in priority order
+        (a snapshot: dispatching prunes ``_active``)."""
         if self.opts.policy.prefers_consumer:
-            return list(reversed(active))
-        return active
+            return [self.kernels[ki] for ki in reversed(self._active)]
+        return [self.kernels[ki] for ki in self._active]
 
     def _producer_gate_ok(self, ks):
         """Producer priority: a kernel's TBs may dispatch only once every
-        older resident kernel *of its stream* has scheduled all of its
-        TBs (streams contend for slots but do not gate each other)."""
+        older launched kernel *of its stream* has scheduled all of its
+        TBs (streams contend for slots but do not gate each other).
+
+        A stream launches its kernels in chain order, so every older
+        kernel of a resident one is launched, and the gate holds iff
+        the stream's fully dispatched prefix reaches this kernel (chains
+        list kernels in index order).  The prefix only grows, so it is
+        advanced in place.
+        """
         if self.opts.policy.prefers_consumer:
             return True
-        prev = ks.plan.chain_prev
-        while prev is not None:
-            other = self.kernels[prev]
-            if other.launched and other.dispatched < other.plan.num_tbs:
-                return False
-            prev = other.plan.chain_prev
-        return True
+        stream = ks.plan.stream
+        chain = self._stream_kernels[stream]
+        prefix = self._stream_dispatched_prefix[stream]
+        while prefix < len(chain):
+            other = self.kernels[chain[prefix]]
+            if other.dispatched < other.num_tbs:
+                break
+            prefix += 1
+        self._stream_dispatched_prefix[stream] = prefix
+        return prefix == len(chain) or chain[prefix] >= ks.plan.kernel_index
 
     def _dispatch(self):
         self.dispatch_passes += 1
@@ -894,7 +932,7 @@ class ExecutionEngine:
         for ks in self._kernel_dispatch_order():
             if not ks.ready or not self._producer_gate_ok(ks):
                 continue
-            threads = ks.plan.threads_per_tb
+            threads = ks.threads_per_tb
             while ks.ready:
                 sm = self.device.try_place(threads, now)
                 if sm is None:
@@ -913,6 +951,8 @@ class ExecutionEngine:
                 )
                 self._drain_deferred(ks)
                 ks.dispatched += 1
+                if ks.dispatched == ks.num_tbs:
+                    self._active.remove(ks.plan.kernel_index)
                 if ks.first_tb_start_ns is None:
                     ks.first_tb_start_ns = now
                 duration = ks.plan.tb_duration_ns(tb)
@@ -979,7 +1019,7 @@ class ExecutionEngine:
                     child.pending_counters[c] -= 1
                     if child.pending_counters[c] == 0 and child.made_eligible:
                         self._push_ready(child, c)
-        if ks.finished == ks.plan.num_tbs:
+        if ks.finished == ks.num_tbs:
             ks.all_tbs_done = True
             ks.all_tbs_done_ns = now
             self._journal_emit("kernel_drain", kernel=ki, name=ks.plan.name)
@@ -1001,6 +1041,7 @@ class ExecutionEngine:
                 break
             ks.completed = True
             ks.completed_ns = self.events.now
+            self._stream_in_flight[ks.plan.stream] -= 1
             self._ctx = ("completion", idx)
             self._journal_emit(
                 "kernel_complete", kernel=idx, name=ks.plan.name
@@ -1015,9 +1056,8 @@ class ExecutionEngine:
                 self._refresh_ready(child)
                 child = self.kernels[child].plan.chain_next
                 hops += 1
-            for other in self.kernels:
-                if idx in other.plan.cross_stream_deps:
-                    self._refresh_ready(other.plan.kernel_index)
+            for dependent in self._cross_dependents.get(idx, ()):
+                self._refresh_ready(dependent)
             idx = ks.plan.chain_next
         self._pump()
 

@@ -2,12 +2,13 @@
 
 :class:`repro.models.base.ExecutionEngine` — the scalar reference — runs
 every API call, kernel launch, and thread-block lifecycle through one
-event heap, paying a per-event ``_pump`` scan over the command queue and
-a per-placement least-loaded scan over the SMs.  That is exact but it is
-interpreter work proportional to *events x queue length*, and since the
-analysis fast path (:mod:`repro.analysis.fastpath`) removed graph
-construction from the critical path, the engine dominates the wall-clock
-of ``run``/``bench``/``experiments``/``fuzz``.
+event heap.  Its per-event work is proportional to what the event
+changed (candidate-only command pump, incremental active-kernel list,
+ordered SM placement; ``docs/engine.md``), but every event is still an
+interpreted heap pop and dispatch pass, and since the analysis fast path
+(:mod:`repro.analysis.fastpath`) removed graph construction from the
+critical path, the engine dominates the wall-clock of
+``run``/``bench``/``experiments``/``fuzz``.
 
 This module computes the *same* :class:`~repro.sim.stats.RunStats` in
 one cheaper tier (``vectorized``) for plans it can prove

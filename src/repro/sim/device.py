@@ -10,11 +10,13 @@ baseline hardware).
 
 Placement policy: least-loaded SM first (by resident thread count, then
 block count, then index), which spreads blocks evenly and is
-deterministic.
+deterministic.  The device keeps the SMs below the block cap sorted by
+exactly that key, so a placement reads the head of the list instead of
+scanning every SM.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left, insort
+from dataclasses import dataclass
 
 from repro.obs import PID_DEVICE, resolve_metrics, resolve_tracer
 from repro.sim.config import GPUConfig
@@ -25,11 +27,6 @@ class SMState:
     index: int
     resident_tbs: int = 0
     resident_threads: int = 0
-
-    def fits(self, threads_per_tb, config):
-        if self.resident_tbs >= config.max_tbs_per_sm:
-            return False
-        return self.resident_threads + threads_per_tb <= config.max_threads_per_sm
 
 
 def empty_device_slots(config: GPUConfig, threads_per_tb: int) -> int:
@@ -63,6 +60,9 @@ class Device:
         self.tracer = resolve_tracer(tracer)
         self.metrics = resolve_metrics(metrics)
         self.sms = [SMState(i) for i in range(config.num_sms)]
+        self._tb_cap = config.max_tbs_per_sm
+        self._thread_cap = config.max_threads_per_sm
+        self._index_open_sms()
         self.running = 0
         self._last_event_ns = 0.0
         self.concurrency_integral = 0.0
@@ -87,6 +87,22 @@ class Device:
                 pid=PID_DEVICE,
             )
 
+    def _index_open_sms(self):
+        """Sort the SMs that can take another block by placement key.
+
+        ``_open`` holds ``(resident_threads, resident_tbs, index)`` for
+        every SM below the block cap.  Its head has the fewest threads
+        among them, so the head fits a block iff any open SM does, and
+        is then the least-loaded fitting SM.  SMs at the cap leave the
+        list until a release brings them back under it.
+        """
+        self._open = [
+            (sm.resident_threads, sm.resident_tbs, sm.index)
+            for sm in self.sms
+            if sm.resident_tbs < self._tb_cap
+        ]
+        self._open.sort()
+
     # ------------------------------------------------------------------
     def _advance(self, now_ns):
         dt = now_ns - self._last_event_ns
@@ -110,35 +126,39 @@ class Device:
     def try_place(self, threads_per_tb, now_ns):
         """Place one block on the least-loaded SM; returns the SM index
         or ``None`` when nothing fits."""
-        best: Optional[SMState] = None
-        for sm in self.sms:
-            if not sm.fits(threads_per_tb, self.config):
-                continue
-            if best is None or (sm.resident_threads, sm.resident_tbs, sm.index) < (
-                best.resident_threads,
-                best.resident_tbs,
-                best.index,
-            ):
-                best = sm
-        if best is None:
+        open_sms = self._open
+        if not open_sms:
             return None
+        threads, tbs, index = open_sms[0]
+        if threads + threads_per_tb > self._thread_cap:
+            return None
+        del open_sms[0]
         self._advance(now_ns)
-        best.resident_tbs += 1
-        best.resident_threads += threads_per_tb
+        best = self.sms[index]
+        best.resident_tbs = tbs + 1
+        best.resident_threads = threads + threads_per_tb
+        if tbs + 1 < self._tb_cap:
+            insort(open_sms, (best.resident_threads, tbs + 1, index))
         self.running += 1
         self.placements += 1
         self.peak_concurrency = max(self.peak_concurrency, self.running)
         if self.tracer.enabled:
             self._sample_occupancy(now_ns, sm=best)
-        return best.index
+        return index
 
     def release(self, sm_index, threads_per_tb, now_ns):
         self._advance(now_ns)
         sm = self.sms[sm_index]
         if sm.resident_tbs <= 0 or sm.resident_threads < threads_per_tb:
             raise RuntimeError("release without matching placement")
+        open_sms = self._open
+        if sm.resident_tbs < self._tb_cap:
+            del open_sms[bisect_left(
+                open_sms, (sm.resident_threads, sm.resident_tbs, sm_index)
+            )]
         sm.resident_tbs -= 1
         sm.resident_threads -= threads_per_tb
+        insort(open_sms, (sm.resident_threads, sm.resident_tbs, sm_index))
         self.running -= 1
         if self.tracer.enabled:
             self._sample_occupancy(now_ns, sm=sm)
@@ -157,27 +177,17 @@ class Device:
 class UnboundedDevice(Device):
     """A device with no occupancy limits — every placement succeeds.
 
-    Used by the what-if analyzer's ``infinite_sms`` replay: placement is
-    O(1) (everything lands on SM 0) so the replay does not pay the
-    least-loaded scan over an artificially huge SM array.  Accounting
+    Used by the what-if analyzer's ``infinite_sms`` replay: one SM with
+    unbounded block and thread caps, so every block lands on SM 0 and
+    placement stays O(1) however many blocks are resident.  Accounting
     (concurrency integral, busy time, counters) matches :class:`Device`.
     """
 
     def __init__(self, config: GPUConfig, tracer=None, metrics=None):
         super().__init__(config, tracer=tracer, metrics=metrics)
         self.sms = [SMState(0)]
+        self._tb_cap = self._thread_cap = float("inf")
+        self._index_open_sms()
 
     def free_slots(self, threads_per_tb):
         return 1 << 30
-
-    def try_place(self, threads_per_tb, now_ns):
-        self._advance(now_ns)
-        sm = self.sms[0]
-        sm.resident_tbs += 1
-        sm.resident_threads += threads_per_tb
-        self.running += 1
-        self.placements += 1
-        self.peak_concurrency = max(self.peak_concurrency, self.running)
-        if self.tracer.enabled:
-            self._sample_occupancy(now_ns, sm=sm)
-        return 0

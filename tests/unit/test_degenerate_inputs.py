@@ -181,3 +181,41 @@ class TestEngineDegeneratePlans:
             mode: _outcome(model, plan, mode) for mode in ENGINE_MODES
         }
         assert len(set(outcomes.values())) == 1, outcomes
+
+    @pytest.mark.parametrize("model_name", ["baseline", "consumer3"])
+    def test_zero_tb_kernel_drain_diagnostics(self, baseline, model_name):
+        """A zero-block kernel never joins the scheduler's active list
+        and never completes; the drain error names it and the blocked
+        successor exactly as before the incremental bookkeeping."""
+        from repro.experiments.common import _make_model
+        from repro.models import EngineDrainError
+        from repro.workloads import get_workload
+
+        runtime, _ = baseline
+        model = _make_model(model_name, runtime.config)
+        app = get_workload("eng-chain").build_small(
+            num_kernels=2, num_tbs=4
+        )
+        plan = runtime.plan(
+            app, reorder=model_name != "baseline",
+            window=model.options().window,
+        )
+        plan.kernels[0].call.grid = (0, 1, 1)
+        with pytest.raises(EngineDrainError) as excinfo:
+            model.run(plan, engine="reference")
+        err = excinfo.value
+        successor = (
+            "kernel never became resident" if model_name == "baseline"
+            else "tb 0 waits on 1 parents, e.g. [0]"
+        )
+        assert str(err) == (
+            "event queue drained with work still outstanding: "
+            "k0 map0 (0/0 TBs finished, 0 unreleased); k1 map1 (0/4 TBs "
+            "finished, 4 unreleased; {}); calls [5, 6, 7] incomplete"
+        ).format(successor)
+        rows = err.details["kernels"]
+        assert [(r["index"], r["num_tbs"], r["unreleased"]) for r in rows] == [
+            (0, 0, 0), (1, 4, 4),
+        ]
+        assert rows[0]["stuck_tbs"] == []
+        assert [tb["tb"] for tb in rows[1]["stuck_tbs"]] == [0, 1, 2, 3]

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.policy import SchedulingPolicy
 from repro.core.runtime import BlockMaestroRuntime
-from repro.models import BlockMaestroModel, SerializedBaseline
+from repro.models import BlockMaestroModel, EngineDrainError, SerializedBaseline
+from repro.models.base import ExecutionEngine
 from repro.sim.config import GPUConfig
 from repro.workloads.base import AppBuilder
 from repro.workloads import ptxgen
@@ -133,6 +134,115 @@ class TestMixedBlockSizes:
         )
         # 1024-thread blocks: one per SM; 8 blocks run in 4 waves
         assert stats.avg_tb_concurrency() <= 2.01
+
+
+class _GateNeverOpens(ExecutionEngine):
+    def _tb_eligible(self, ki):
+        return False  # no kernel ever releases a TB
+
+
+class _UnmetParent(ExecutionEngine):
+    def _init_fine_grain(self):
+        super()._init_fine_grain()
+        # cons0's tb 2 waits on one parent finish that never arrives:
+        # the kernel stalls part-dispatched in the scheduler's lists
+        self.kernels[1].pending_counters[2] += 1
+
+
+def _drain_error(engine_cls, policy):
+    model = BlockMaestroModel(window=2, policy=policy)
+    app = make_chain_app(num_pairs=2, tbs=4, block=32, name="drain")
+    plan = BlockMaestroRuntime(model.gpu_config).plan(
+        app, reorder=True, window=2
+    )
+    with pytest.raises(EngineDrainError) as excinfo:
+        engine_cls(plan, model.gpu_config, model.options()).run()
+    return excinfo.value
+
+
+def _kernel_rows(err):
+    return [
+        (row["index"], row["finished"], row["unreleased"])
+        for row in err.details["kernels"]
+    ]
+
+
+def _stuck_tbs(err):
+    return [
+        [
+            (tb["tb"], tb.get("pending_parents"), tb.get("unmet_parents"))
+            for tb in row["stuck_tbs"]
+        ]
+        for row in err.details["kernels"]
+    ]
+
+
+class TestDrainDiagnosticsPinned:
+    """A non-draining plan raises the same :class:`EngineDrainError`,
+    with the same ``unreleased``/``stuck_tbs`` rows, as the engine did
+    before its scheduler bookkeeping became incremental."""
+
+    ALL_WAITING = [(0, 1, [0]), (1, 1, [1]), (2, 1, [2]), (3, 1, [3])]
+
+    @pytest.mark.parametrize("policy", list(SchedulingPolicy))
+    def test_gate_never_opens(self, policy):
+        err = _drain_error(_GateNeverOpens, policy)
+        assert str(err) == (
+            "event queue drained with work still outstanding: "
+            "k0 prod0 (0/4 TBs finished, 4 unreleased; kernel-level gate "
+            "never opened); k1 cons0 (0/4 TBs finished, 4 unreleased; "
+            "tb 0 waits on 1 parents, e.g. [0]); k2 prod1 (0/4 TBs "
+            "finished, 4 unreleased; tb 0 waits on 1 parents, e.g. [0]); "
+            "k3 cons1 (0/4 TBs finished, 4 unreleased; tb 0 waits on 1 "
+            "parents, e.g. [0]); calls [4, 5, 6, 7, 8] incomplete"
+        )
+        assert err.details["calls"] == [4, 5, 6, 7, 8]
+        assert _kernel_rows(err) == [(k, 0, 4) for k in range(4)]
+        assert _stuck_tbs(err) == [
+            [(tb, None, None) for tb in range(4)]
+        ] + [self.ALL_WAITING] * 3
+
+    def test_unmet_parent_consumer_priority(self):
+        err = _drain_error(
+            _UnmetParent, SchedulingPolicy.CONSUMER_PRIORITY
+        )
+        assert str(err) == (
+            "event queue drained with work still outstanding: "
+            "k1 cons0 (3/4 TBs finished, 1 unreleased; tb 2 waits on 1 "
+            "parents, e.g. []); k2 prod1 (3/4 TBs finished, 1 unreleased; "
+            "tb 2 waits on 1 parents, e.g. [2]); k3 cons1 (0/4 TBs "
+            "finished, 4 unreleased; tb 0 waits on 0 parents, e.g. []); "
+            "calls [5, 6, 7, 8] incomplete"
+        )
+        assert err.details["calls"] == [5, 6, 7, 8]
+        assert _kernel_rows(err) == [(1, 3, 1), (2, 3, 1), (3, 0, 4)]
+        assert _stuck_tbs(err) == [
+            [(2, 1, [])],
+            [(2, 1, [2])],
+            [(0, 0, []), (1, 0, []), (2, 1, [2]), (3, 0, [])],
+        ]
+
+    def test_unmet_parent_producer_priority(self):
+        """The part-dispatched kernel holds the producer gate shut, so
+        prod1 never dispatches at all."""
+        err = _drain_error(
+            _UnmetParent, SchedulingPolicy.PRODUCER_PRIORITY
+        )
+        assert str(err) == (
+            "event queue drained with work still outstanding: "
+            "k1 cons0 (3/4 TBs finished, 1 unreleased; tb 2 waits on 1 "
+            "parents, e.g. []); k2 prod1 (0/4 TBs finished, 4 unreleased; "
+            "tb 0 waits on 0 parents, e.g. []); k3 cons1 (0/4 TBs "
+            "finished, 4 unreleased; tb 0 waits on 1 parents, e.g. [0]); "
+            "calls [5, 6, 7, 8] incomplete"
+        )
+        assert err.details["calls"] == [5, 6, 7, 8]
+        assert _kernel_rows(err) == [(1, 3, 1), (2, 0, 4), (3, 0, 4)]
+        assert _stuck_tbs(err) == [
+            [(2, 1, [])],
+            [(0, 0, []), (1, 0, []), (2, 1, [2]), (3, 0, [])],
+            self.ALL_WAITING,
+        ]
 
 
 class TestPublicAPI:
