@@ -12,8 +12,10 @@ PTX→SASS JIT), the analyzer:
 2. abstractly interprets the kernel forward over the affine/interval
    value domain, producing an :class:`~repro.analysis.access.AccessRecord`
    per global load/store.  Loops are handled by discovering induction
-   registers, computing trip counts by concrete corner simulation, and
-   binding inductions to fresh loop symbols with known ranges;
+   registers, computing trip counts at the corners of the live symbol
+   ranges (in closed form for certified counted loops, by concrete
+   simulation otherwise), and binding inductions to fresh loop symbols
+   with known ranges;
 3. packages the result as a :class:`KernelSummary` exposing per-thread-
    block read/write interval sets.
 
@@ -51,6 +53,7 @@ from repro.ptx.isa import (
     Label,
     MemOperand,
     Opcode,
+    Operand,
     ParamRef,
     Register,
     SpecialRegister,
@@ -203,9 +206,18 @@ def analyze_kernel(
     launch,
     max_intervals=DEFAULT_MAX_INTERVALS,
     run_algorithm1=True,
+    closed_form_trips=True,
+    metrics=None,
 ):
     """Analyze one kernel launch; never raises for analysis limitations —
-    those surface as ``summary.fallback``."""
+    those surface as ``summary.fallback``.
+
+    ``closed_form_trips=False`` pins every loop trip count to the
+    concrete simulator (the oracle); either way the summary is the
+    same.  When ``metrics`` is given, each trip-count corner counts
+    once as ``analysis.tripcount.closed_form`` or
+    ``analysis.tripcount.simulated``.
+    """
     if run_algorithm1:
         for index, _inst in kernel.global_accesses():
             try:
@@ -227,7 +239,7 @@ def analyze_kernel(
                     % (result.unresolved,),
                     dynamic_mix=_static_mix(kernel),
                 )
-    interp = _Interpreter(kernel, launch, max_intervals)
+    interp = _Interpreter(kernel, launch, max_intervals, closed_form_trips, metrics)
     try:
         records, dynamic_mix = interp.run()
     except _Fallback as exc:
@@ -258,10 +270,16 @@ def _static_mix(kernel):
 # forward abstract interpreter
 # ----------------------------------------------------------------------
 class _Interpreter:
-    def __init__(self, kernel, launch, max_intervals):
+    def __init__(
+        self, kernel, launch, max_intervals, closed_form_trips=True, metrics=None
+    ):
         self.kernel = kernel
         self.launch = launch
         self.max_intervals = max_intervals
+        self.closed_form_trips = closed_form_trips
+        self.metrics = metrics
+        #: loop header -> its _TripCertificate or None, derived once
+        self.certificates = {}
         tx, ty, tz = launch.block
         ranges = {
             TID("x"): (0, tx - 1),
@@ -356,10 +374,6 @@ class _Interpreter:
                 "loop_bounds",
                 "cannot bound loop at instructions %d-%d" % (loop.header, loop.latch),
             )
-        if trip == 0:
-            # body never executes: state unchanged, nothing recorded
-            self.state = dict(state0)
-            return
 
         attempts = len(inductions) + 1
         for _attempt in range(attempts):
@@ -415,11 +429,22 @@ class _Interpreter:
     def _trip_count(self, loop, state0):
         """Maximum trip count over corner bindings of the live symbols.
 
-        Concretely simulates the loop (including nested control flow)
-        for each corner of the symbol ranges; returns ``None`` when the
-        loop cannot be bounded (unknown values in the exit condition or
-        iteration cap exceeded).
+        Each corner of the symbol ranges is counted in closed form when
+        the loop carries a :class:`_TripCertificate`, and otherwise by
+        concretely simulating the loop (including nested control flow);
+        returns ``None`` when the loop cannot be bounded (unknown values
+        in the exit condition or iteration cap exceeded).
         """
+        best = 0
+        for corner in self._corners(state0):
+            trips = self._corner_trips(loop, state0, corner)
+            if trips is None:
+                return None
+            best = max(best, trips)
+        return best
+
+    def _corners(self, state0):
+        """Bindings of the (first four) live symbols to their range ends."""
         symbols = set()
         for value in state0.values():
             if isinstance(value, AffineExpr):
@@ -435,13 +460,43 @@ class _Interpreter:
                     extended[sym] = bound
                     new.append(extended)
             corners = new
-        best = 0
-        for corner in corners:
-            trips = self._simulate_loop(loop, state0, corner)
-            if trips is None:
-                return None
-            best = max(best, trips)
-        return best
+        return corners
+
+    def _corner_trips(self, loop, state0, binding):
+        """One corner's trip count: closed form where proven, else the
+        concrete simulator."""
+        if self.closed_form_trips:
+            trips = self._closed_form_loop(loop, state0, binding)
+            if trips is not _DECLINED:
+                self._count_tier("closed_form")
+                return trips
+        self._count_tier("simulated")
+        return self._simulate_loop(loop, state0, binding)
+
+    def _count_tier(self, tier):
+        if self.metrics is not None:
+            self.metrics.inc("analysis.tripcount." + tier)
+
+    def _closed_form_loop(self, loop, state0, binding):
+        """Trip count of a certified loop at one corner, ``None`` where
+        the simulator would hit a cap, or ``_DECLINED``."""
+        if loop.header not in self.certificates:
+            self.certificates[loop.header] = _trip_certificate(self.kernel, loop)
+        cert = self.certificates[loop.header]
+        if cert is None:
+            return _DECLINED
+        operands = (cert.induction, cert.step, cert.bound)
+        concrete = {
+            op: _concretize(state0.get(op), binding)
+            for op in operands
+            if isinstance(op, Register)
+        }
+        # the simulator's own operand reader, so the values match exactly
+        sim = _ConcreteSimulator(self.kernel, self.launch, binding, concrete)
+        init, step, bound = (sim._value(op) for op in operands)
+        if init is None or step is None or bound is None or step == 0:
+            return _DECLINED
+        return _closed_form_trips(cert, init, step, bound)
 
     def _simulate_loop(self, loop, state0, binding):
         concrete = {}
@@ -684,6 +739,150 @@ def _concretize(value, binding):
     if isinstance(value, SInterval):
         return value.lo if value.is_singleton else None
     return None
+
+
+# ----------------------------------------------------------------------
+# closed-form trip counts (prove-or-decline over the concrete simulator)
+# ----------------------------------------------------------------------
+#: each ordered compare under swapped operands (``b < a`` is ``a > b``)
+_SWAPPED_COMPARE = {
+    "lt": "gt",
+    "le": "ge",
+    "gt": "lt",
+    "ge": "le",
+    "lo": "hi",
+    "ls": "hs",
+    "hi": "lo",
+    "hs": "ls",
+}
+
+#: a corner the closed form leaves to the simulator
+_DECLINED = object()
+
+
+@dataclass(frozen=True)
+class _TripCertificate:
+    """Proof that a loop is a counted do-while over one induction.
+
+    The body ``[header, latch)`` has no control flow; the guarded latch
+    branches on ``induction <compare> bound`` (negated when
+    ``negated``), written by the body's only writer of the predicate;
+    the body's only writer of ``induction`` is ``add induction,
+    induction, step`` (either source order); ``step`` and ``bound`` are
+    loop-invariant.  ``add_first`` says the add precedes the compare.
+    """
+
+    induction: Register
+    step: Operand
+    bound: Operand
+    compare: str
+    add_first: bool
+    negated: bool
+    body_len: int
+
+
+def _trip_certificate(kernel, loop):
+    """The loop's :class:`_TripCertificate`, or ``None`` (decline)."""
+    instructions = kernel.instructions
+    latch = instructions[loop.latch]
+    if latch.guard is None:
+        return None
+    writers = {}
+    for index in range(loop.header, loop.latch):
+        inst = instructions[index]
+        if inst.is_branch or inst.is_terminator:
+            return None
+        for reg in inst.written_registers():
+            writers.setdefault(reg, []).append(index)
+
+    def invariant(op):
+        if isinstance(op, Immediate):
+            return isinstance(op.value, int)
+        if isinstance(op, SpecialRegister):
+            return True
+        return isinstance(op, Register) and op not in writers
+
+    def sole_writer(reg, opcode):
+        sites = writers.get(reg, ())
+        if len(sites) != 1:
+            return None
+        inst = instructions[sites[0]]
+        if (
+            inst.opcode is not opcode
+            or inst.guard is not None
+            or _is_float_type(inst.dtype)
+            or inst.written_registers() != (reg,)
+            or len(inst.srcs) != 2
+        ):
+            return None
+        return sites[0], inst
+
+    found = sole_writer(latch.guard, Opcode.SETP)
+    if found is None:
+        return None
+    setp_at, setp = found
+    compare = setp.compare
+    if compare not in _SWAPPED_COMPARE:
+        return None
+    induction, bound = setp.srcs
+    if invariant(induction):
+        induction, bound = bound, induction
+        compare = _SWAPPED_COMPARE[compare]
+    if not (isinstance(induction, Register) and invariant(bound)):
+        return None
+    found = sole_writer(induction, Opcode.ADD)
+    if found is None:
+        return None
+    add_at, add = found
+    a, b = add.srcs
+    step = b if a == induction else a if b == induction else None
+    if step is None or not invariant(step):
+        return None
+    return _TripCertificate(
+        induction=induction,
+        step=step,
+        bound=bound,
+        compare=compare,
+        add_first=add_at < setp_at,
+        negated=latch.guard_negated,
+        body_len=loop.latch - loop.header + 1,
+    )
+
+
+def _closed_form_trips(cert, init, step, bound):
+    """Trip count of a certified loop from concrete ``init``, ``step``
+    and ``bound``: ``None`` exactly where ``_ConcreteSimulator.run_loop``
+    would hit ``TRIP_COUNT_CAP`` or ``STEP_CAP``.
+
+    The latch's predicate at iteration ``t`` compares ``init + j·step``
+    (``j = t`` when the add precedes the compare, ``t - 1`` otherwise)
+    against ``bound``: a threshold test of a value monotone in ``t``, so
+    it holds for a prefix of iterations and a binary search finds the
+    first iteration that exits.
+    """
+    lead = 0 if cert.add_first else 1
+
+    def goes_on(t):
+        value = init + (t - lead) * step
+        return _compare(cert.compare, value, bound) != cert.negated
+
+    # the largest count the simulator returns: n <= TRIP_COUNT_CAP and
+    # n * body_len <= STEP_CAP
+    most = min(TRIP_COUNT_CAP, STEP_CAP // cert.body_len)
+    if most < 1:
+        return None
+    if not goes_on(1):
+        return 1
+    if goes_on(most):
+        return None
+    lo, hi = 1, most  # goes_on(lo) and not goes_on(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if goes_on(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 # ----------------------------------------------------------------------

@@ -56,6 +56,8 @@ from repro.core.dependency_graph import (
 import numpy as np
 
 #: Valid fast-path modes (``resolve_fastpath_mode`` normalizes aliases).
+#: ``reference`` also pins the analyzer's loop trip counts to its
+#: concrete simulator (:func:`repro.analysis.analyzer.analyze_kernel`).
 FASTPATH_MODES = ("auto", "closed_form", "vectorized", "reference")
 
 #: Environment override consulted when no explicit mode is configured —

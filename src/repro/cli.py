@@ -125,6 +125,10 @@ MODEL_CHOICES = MODEL_NAMES + sorted(MODEL_ALIASES)
 #: out so building the parser does not import the engine
 ENGINE_CHOICES = ("auto", "reference")
 
+#: ``repro.serve.DEFAULT_PORT``, spelled out so building the parser does
+#: not import the daemon (and asyncio)
+SERVE_DEFAULT_PORT = 8642
+
 
 def cmd_list(args):
     if getattr(args, "json", None):
@@ -1476,8 +1480,6 @@ def build_parser():
         help="report path (default: SERVEBENCH_<UTC>.json)",
     )
 
-    from repro.serve import DEFAULT_PORT
-
     p_serve = sub.add_parser(
         "serve",
         help="long-running simulation daemon: run/compare/critpath/"
@@ -1489,9 +1491,9 @@ def build_parser():
         help="bind address (default: 127.0.0.1)",
     )
     p_serve.add_argument(
-        "--port", default=str(DEFAULT_PORT), metavar="PORT",
+        "--port", default=str(SERVE_DEFAULT_PORT), metavar="PORT",
         help="TCP port; 0 picks an ephemeral one (default: {})".format(
-            DEFAULT_PORT
+            SERVE_DEFAULT_PORT
         ),
     )
     p_serve.add_argument(
@@ -1522,13 +1524,13 @@ def build_parser():
         "client",
         help="talk to a running serve daemon "
              "($REPRO_SERVE_URL or http://127.0.0.1:{})".format(
-                 DEFAULT_PORT
+                 SERVE_DEFAULT_PORT
              ),
     )
     p_client.add_argument(
         "--url", default=None, metavar="URL",
         help="daemon base URL (default: $REPRO_SERVE_URL or "
-             "http://127.0.0.1:{})".format(DEFAULT_PORT),
+             "http://127.0.0.1:{})".format(SERVE_DEFAULT_PORT),
     )
     client_sub = p_client.add_subparsers(
         dest="client_command", required=True

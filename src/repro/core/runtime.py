@@ -185,7 +185,10 @@ class BlockMaestroRuntime:
         #: ``None`` consults REPRO_FASTPATH, defaulting to "auto".  The
         #: tiers are differential-tested to produce identical graphs, so
         #: the mode never changes a plan — only how fast it is built —
-        #: and cache entries interoperate across modes.
+        #: and cache entries interoperate across modes.  "reference"
+        #: also pins loop trip counts to the analyzer's concrete
+        #: simulator; every other mode counts certified loops in
+        #: closed form.
         # imported lazily: repro.analysis.fastpath builds on
         # repro.core.dependency_graph, whose package init loads this
         # module — a module-level import here would cycle
@@ -333,7 +336,11 @@ class BlockMaestroRuntime:
                 self._summary_cache[key] = summary
                 return summary
         summary = analyze_kernel(
-            call.kernel, launch, max_intervals=self.max_intervals
+            call.kernel,
+            launch,
+            max_intervals=self.max_intervals,
+            closed_form_trips=self.fastpath != "reference",
+            metrics=self.metrics,
         )
         self._summary_cache[key] = summary
         if disk_key is not None:

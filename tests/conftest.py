@@ -194,3 +194,22 @@ def make_chain_app(
 @pytest.fixture
 def chain_app():
     return make_chain_app()
+
+
+def trip_corner_counts(kernel, launch, loop_index=0):
+    """``(closed form, simulator)`` trip counts of one loop of ``kernel``
+    at every corner the analyzer binds, from its abstract state at the
+    loop's entry.  The closed form may be ``analyzer._DECLINED``."""
+    from repro.analysis.analyzer import _Interpreter
+
+    interp = _Interpreter(kernel, launch, max_intervals=64)
+    loop = interp.loops[loop_index]
+    interp._exec_range(0, loop.header)
+    state0 = dict(interp.state)
+    return [
+        (
+            interp._closed_form_loop(loop, state0, corner),
+            interp._simulate_loop(loop, state0, corner),
+        )
+        for corner in interp._corners(state0)
+    ]

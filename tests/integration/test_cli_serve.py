@@ -8,6 +8,9 @@ prove the announce-line protocol end to end.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -156,6 +159,38 @@ class TestClientCli:
         from repro.serve.client import default_url
 
         assert default_url().endswith(str(DEFAULT_PORT))
+
+
+class TestParserStaysLight:
+    """Building the parser must not import the daemon package."""
+
+    def test_build_parser_imports_neither_daemon_nor_asyncio(self):
+        code = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "print(sorted(m for m in ('repro.serve', 'asyncio') "
+            "if m in sys.modules))"
+        )
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            check=True, capture_output=True, text=True, env=env,
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_spelled_out_port_matches_daemon(self):
+        from repro.cli import SERVE_DEFAULT_PORT
+
+        assert SERVE_DEFAULT_PORT == DEFAULT_PORT
+
+    def test_serve_help_shows_default_port(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--help"])
+        assert err.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "(default: {})".format(DEFAULT_PORT) in out
 
 
 class TestBenchServe:
