@@ -239,9 +239,10 @@ def analyze_kernel(
                     % (result.unresolved,),
                     dynamic_mix=_static_mix(kernel),
                 )
-    interp = _Interpreter(kernel, launch, max_intervals, closed_form_trips, metrics)
     try:
-        records, dynamic_mix = interp.run()
+        records, dynamic_mix = _Interpreter(
+            kernel, launch, max_intervals, closed_form_trips, metrics
+        ).run()
     except _Fallback as exc:
         return KernelSummary(
             kernel_name=kernel.name,
@@ -444,7 +445,11 @@ class _Interpreter:
         return best
 
     def _corners(self, state0):
-        """Bindings of the (first four) live symbols to their range ends."""
+        """Bindings of the (first four) live symbols to their range ends.
+
+        A ``%ctaid`` symbol spans the whole grid, so the trip count is
+        the maximum over blocks (a sound over-approximation).
+        """
         symbols = set()
         for value in state0.values():
             if isinstance(value, AffineExpr):
@@ -452,7 +457,10 @@ class _Interpreter:
         symbols = sorted(symbols)[:4]
         corners = [{}]
         for sym in symbols:
-            lo, hi = self.algebra.symbol_ranges.get(sym, (0, 0))
+            if sym.kind == "ctaid":
+                lo, hi = 0, self.launch.grid["xyz".index(sym.name)] - 1
+            else:
+                lo, hi = self.algebra.symbol_ranges.get(sym, (0, 0))
             new = []
             for corner in corners:
                 for bound in {lo, hi}:

@@ -55,7 +55,7 @@ from repro.core.dependency_graph import (
 
 import numpy as np
 
-#: Valid fast-path modes (``resolve_fastpath_mode`` normalizes aliases).
+#: Valid fast-path modes (``resolve_fastpath_mode`` normalizes case).
 #: ``reference`` also pins the analyzer's loop trip counts to its
 #: concrete simulator (:func:`repro.analysis.analyzer.analyze_kernel`).
 FASTPATH_MODES = ("auto", "closed_form", "vectorized", "reference")
@@ -83,16 +83,12 @@ _BITMAP_LIMIT = 1 << 26
 def resolve_fastpath_mode(value=None):
     """Normalize a fast-path mode, consulting ``REPRO_FASTPATH``.
 
-    ``None`` reads the environment (default ``auto``); ``off``/
-    ``scalar``/``oracle`` alias ``reference``; ``on`` aliases ``auto``.
+    ``None`` reads the environment (default ``auto``); case, dashes
+    for underscores and surrounding whitespace are forgiven.
     """
     if value is None:
         value = os.environ.get(FASTPATH_ENV) or "auto"
     mode = str(value).strip().lower().replace("-", "_")
-    if mode in ("off", "scalar", "oracle"):
-        mode = "reference"
-    elif mode == "on":
-        mode = "auto"
     if mode not in FASTPATH_MODES:
         raise ValueError(
             "unknown fastpath mode %r (expected one of %s)"

@@ -97,10 +97,11 @@ class BenchConfig:
     #: persistent AnalysisCache directory (None = caching disabled)
     cache_dir: Optional[str] = None
     #: embed a per-model critical-path attribution section (one extra
-    #: provenance pass per cell; see docs/observability.md)
+    #: observed pass per cell, shared with telemetry; see
+    #: docs/observability.md)
     critpath: bool = False
     #: embed a per-model telemetry summary section (occupancy, overlap,
-    #: idle bubbles; one extra sampler pass per cell)
+    #: idle bubbles; rides the same observed pass as critpath)
     telemetry: bool = False
 
     def as_dict(self):
@@ -237,48 +238,30 @@ def _run_once(spec, model_name, cache=None):
     return stats, phases, total_s, metrics
 
 
-def _critpath_entry(spec, model_name, cache=None):
-    """One provenance pass -> the per-model ``critpath`` bench section.
+def _observed_entries(workload, model_name, views, cache=None):
+    """One observed pass -> the per-model ``critpath``/``telemetry``
+    bench sections named in ``views``.
 
-    Deliberately a separate (untimed) pass so the attribution never
+    Deliberately a separate (untimed) pass so observation never
     contaminates the wall-clock samples; the simulation is
-    deterministic, so the recorded path matches the measured repeats.
+    deterministic, so what it records matches the measured repeats.
+    Every view rides the same simulation.
     """
-    from repro.obs.critpath import ProvenanceRecorder, build_report
+    from repro.obs.telemetry import bench_summary
+    from repro.obs.views import observe_workload
 
-    prov = ProvenanceRecorder()
-    spec_app = spec.build()
-    reorder, window = _model_plan_params(model_name)
-    runtime = BlockMaestroRuntime(cache=cache)
-    plan = runtime.plan(spec_app, reorder=reorder, window=window)
-    model = _make_model(model_name, runtime.config)
-    stats = model.run(plan, provenance=prov)
-    report = build_report(stats, plan, prov, model.gpu_config)
-    return {
-        "attribution_ns": report["attribution_ns"],
-        "attribution_fraction": report["attribution_fraction"],
-        "num_segments": report["critical_path"]["num_segments"],
-    }
-
-
-def _telemetry_entry(spec, model_name, cache=None):
-    """One sampler pass -> the per-model ``telemetry`` bench section.
-
-    Like :func:`_critpath_entry`, a separate untimed pass: the sampler
-    is observation-only (the simulation is deterministic either way),
-    but keeping it out of the measured repeats keeps wall samples
-    comparable with and without ``--telemetry``.
-    """
-    from repro.obs.telemetry import TelemetrySampler, bench_summary, build_report
-
-    sampler = TelemetrySampler()
-    spec_app = spec.build()
-    reorder, window = _model_plan_params(model_name)
-    runtime = BlockMaestroRuntime(cache=cache)
-    plan = runtime.plan(spec_app, reorder=reorder, window=window)
-    model = _make_model(model_name, runtime.config)
-    stats = model.run(plan, telemetry=sampler)
-    return bench_summary(build_report(stats, sampler))
+    observation = observe_workload(workload, model_name, views, cache=cache)
+    entries = {}
+    if observation.critpath is not None:
+        report = observation.critpath_report()
+        entries["critpath"] = {
+            "attribution_ns": report["attribution_ns"],
+            "attribution_fraction": report["attribution_fraction"],
+            "num_segments": report["critical_path"]["num_segments"],
+        }
+    if observation.telemetry is not None:
+        entries["telemetry"] = bench_summary(observation.telemetry_report())
+    return entries
 
 
 def _percentile_block(samples):
@@ -377,10 +360,10 @@ def _run_cell(cell):
     }
     if profile:
         entry["profile"] = _profile_pass(spec, mname, profile_top, cache=cache)
-    if critpath:
-        entry["critpath"] = _critpath_entry(spec, mname, cache=cache)
-    if telemetry:
-        entry["telemetry"] = _telemetry_entry(spec, mname, cache=cache)
+    wanted = {"critpath": critpath, "telemetry": telemetry}
+    views = [view for view, on in wanted.items() if on]
+    if views:
+        entry.update(_observed_entries(wname, mname, views, cache=cache))
     return entry, cell_metrics.snapshot()
 
 

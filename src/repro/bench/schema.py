@@ -56,6 +56,8 @@ import os
 import subprocess
 import time
 
+from repro.obs.report import is_number
+
 SCHEMA_VERSION = 2
 #: versions :func:`validate_report` accepts — v1 reports (no optional
 #: "telemetry" sections) stay loadable so history remains diffable
@@ -186,10 +188,6 @@ def load_report(path):
 # ----------------------------------------------------------------------
 # validation
 # ----------------------------------------------------------------------
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_percentile_block(block, where, errors):
     if not isinstance(block, dict):
         errors.append("{}: expected a percentile block, got {}".format(
@@ -198,10 +196,10 @@ def _check_percentile_block(block, where, errors):
     for key in PERCENTILE_KEYS:
         if key not in block:
             errors.append("{}: missing {!r}".format(where, key))
-        elif not _is_number(block[key]):
+        elif not is_number(block[key]):
             errors.append("{}.{}: not a number".format(where, key))
     repeats = block.get("repeats")
-    if _is_number(repeats) and repeats < 1:
+    if is_number(repeats) and repeats < 1:
         errors.append("{}.repeats: must be >= 1".format(where))
 
 
@@ -256,7 +254,7 @@ def validate_report(payload):
             )
             continue
         for name, value in counters.items():
-            if not _is_number(value):
+            if not is_number(value):
                 errors.append(
                     "{}.counters.{}: not a number".format(section, name)
                 )
@@ -300,7 +298,7 @@ def validate_report(payload):
                 for key in REQUIRED_SIMULATED_KEYS:
                     if key not in simulated:
                         errors.append("{}.simulated.{}: missing".format(mpath, key))
-                    elif not _is_number(simulated[key]):
+                    elif not is_number(simulated[key]):
                         errors.append(
                             "{}.simulated.{}: not a number".format(mpath, key)
                         )
@@ -326,13 +324,13 @@ def validate_report(payload):
                                         cpath, section, comp
                                     )
                                 )
-                            elif not _is_number(value):
+                            elif not is_number(value):
                                 errors.append(
                                     "{}.{}.{}: not a number".format(
                                         cpath, section, comp
                                     )
                                 )
-                    if not _is_number(critpath.get("num_segments")):
+                    if not is_number(critpath.get("num_segments")):
                         errors.append(
                             "{}.num_segments: missing or not a number".format(cpath)
                         )
@@ -345,7 +343,7 @@ def validate_report(payload):
                     for key in TELEMETRY_SUMMARY_KEYS:
                         if key not in telemetry:
                             errors.append("{}.{}: missing".format(tpath, key))
-                        elif not _is_number(telemetry[key]):
+                        elif not is_number(telemetry[key]):
                             errors.append(
                                 "{}.{}: not a number".format(tpath, key)
                             )
@@ -358,7 +356,7 @@ def validate_report(payload):
                         )
                     else:
                         for pair, value in pair_overlap.items():
-                            if not _is_number(value):
+                            if not is_number(value):
                                 errors.append(
                                     "{}.pair_overlap.{}: not a number".format(
                                         tpath, pair

@@ -32,6 +32,8 @@ import sys
 import threading
 import time
 
+from repro.obs.report import is_number
+
 SERVE_BENCH_KIND = "repro-serve-bench-report"
 SERVE_BENCH_SCHEMA_VERSION = 1
 SERVE_BENCH_FILE_PREFIX = "SERVEBENCH_"
@@ -443,16 +445,12 @@ def write_serve_bench_report(payload, path):
     return path
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_latency(block, where, errors):
     if not isinstance(block, dict):
         errors.append("{}: not an object".format(where))
         return
     for key in LATENCY_KEYS:
-        if not _is_number(block.get(key)):
+        if not is_number(block.get(key)):
             errors.append("{}.{}: missing or non-numeric".format(where, key))
     if not errors and block["count"] > 0 and block["min"] > block["max"]:
         errors.append("{}: min > max".format(where))
@@ -497,7 +495,7 @@ def validate_serve_bench_report(payload):
                     errors,
                 )
         throughput = phases.get("throughput")
-        if isinstance(throughput, dict) and not _is_number(
+        if isinstance(throughput, dict) and not is_number(
             throughput.get("rps")
         ):
             errors.append("phases.throughput.rps: missing or non-numeric")
@@ -505,7 +503,7 @@ def validate_serve_bench_report(payload):
         if isinstance(coalesce, dict):
             for key in ("burst", "completed", "simulations",
                         "coalesce_hit_rate"):
-                if not _is_number(coalesce.get(key)):
+                if not is_number(coalesce.get(key)):
                     errors.append(
                         "phases.coalesce.{}: missing or "
                         "non-numeric".format(key)
@@ -537,7 +535,7 @@ def format_serve_bench_report(payload):
         wall = phase.get("wall_ms", {})
         extra = (
             "  {:.2f} req/s".format(phase["rps"])
-            if name == "throughput" and _is_number(phase.get("rps"))
+            if name == "throughput" and is_number(phase.get("rps"))
             else ""
         )
         lines.append(

@@ -108,9 +108,6 @@ from repro.experiments.common import (
     STANDARD_MODELS,
     ExperimentContext,
     UnknownModelError,
-    _make_model,
-    _model_plan_params,
-    canonical_model_name,
     format_table,
 )
 from repro.obs import MetricsRegistry, Tracer
@@ -322,51 +319,40 @@ def cmd_compare(args):
         print(compare_timelines(runs[:1] + runs[2:], width=args.width))
 
 
-def _traced_run(workload, model_name, per_sm=False, provenance=None,
-                telemetry=None):
-    """Build, plan, and simulate one workload under full observation.
+def _traced_run(workload, model_name, per_sm=False, views=()):
+    """Build, plan, and simulate one workload under full tracing, with
+    exactly ``views`` attached (:mod:`repro.obs.views`).
 
-    Returns ``(app, stats, tracer, metrics, plan, model)`` — shared by
-    ``trace``, ``blame``, and ``critpath``.
+    Returns ``(observation, tracer, metrics)`` — shared by ``trace``,
+    ``blame``, and ``critpath``.
     """
+    from repro.obs.views import observe_workload
+
     tracer = Tracer(per_sm_counters=per_sm)
     metrics = MetricsRegistry()
-    spec = get_workload(workload)
-    with tracer.span("workload.build:{}".format(spec.name), cat="ptx"):
-        app = spec.build()  # PTX parse + trace construction
-    model_name = canonical_model_name(model_name)
-    reorder, window = _model_plan_params(model_name)
-    runtime = BlockMaestroRuntime(tracer=tracer, metrics=metrics)
-    plan = runtime.plan(app, reorder=reorder, window=window)
-    model = _make_model(model_name, runtime.config)
-    stats = model.run(
-        plan, tracer=tracer, metrics=metrics, provenance=provenance,
-        telemetry=telemetry,
+    observation = observe_workload(
+        workload, model_name, views, tracer=tracer, metrics=metrics
     )
-    return app, stats, tracer, metrics, plan, model
+    return observation, tracer, metrics
 
 
 def cmd_trace(args):
     from repro.obs import critpath as cp
+    from repro.obs import telemetry as tm
 
-    prov = cp.ProvenanceRecorder() if args.critpath else None
-    sampler = None
-    if args.telemetry:
-        from repro.obs import telemetry as tm
-
-        sampler = tm.TelemetrySampler()
-    app, stats, tracer, metrics, plan, _model = _traced_run(
-        args.workload, args.model, per_sm=args.per_sm, provenance=prov,
-        telemetry=sampler,
+    views = [view for view in ("critpath", "telemetry") if getattr(args, view)]
+    observation, tracer, metrics = _traced_run(
+        args.workload, args.model, per_sm=args.per_sm, views=views,
     )
-    if prov is not None:
-        segments = cp.extract_critical_path(stats, plan, prov)
+    stats = observation.stats
+    if observation.critpath is not None:
+        segments = cp.extract_critical_path(
+            stats, observation.plan, observation.critpath
+        )
         cp.emit_critpath_flow(tracer, segments)
-    if sampler is not None:
-        from repro.obs import telemetry as tm
-
-        tm.emit_telemetry_counters(tracer, tm.build_report(stats, sampler))
-    out = args.output or "{}-trace.json".format(app.name)
+    if observation.telemetry is not None:
+        tm.emit_telemetry_counters(tracer, observation.telemetry_report())
+    out = args.output or "{}-trace.json".format(stats.application)
     tracer.write(out)
     sidecar = args.metrics_out or (
         out[: -len(".json")] + ".metrics.json" if out.endswith(".json")
@@ -391,9 +377,8 @@ def cmd_trace(args):
 
 
 def cmd_blame(args):
-    _app, stats, tracer, _metrics, _plan, _model = _traced_run(
-        args.workload, args.model
-    )
+    observation, tracer, _metrics = _traced_run(args.workload, args.model)
+    stats = observation.stats
     if args.json:
         from repro.obs.report import blame_payload
 
@@ -410,14 +395,10 @@ def cmd_critpath(args):
     # falls back to the scalar oracle (counted, documented behavior);
     # the pin is still honored so users can see exactly that.
     _pin_engine_mode(args.engine)
-    prov = cp.ProvenanceRecorder()
-    _app, stats, tracer, _metrics, plan, model = _traced_run(
-        args.workload, args.model, provenance=prov
+    observation, _tracer, _metrics = _traced_run(
+        args.workload, args.model, views=("critpath",)
     )
-    report = cp.build_report(
-        stats, plan, prov, model.gpu_config,
-        options=model.options(), whatif=args.whatif,
-    )
+    report = observation.critpath_report(whatif=args.whatif)
     errors = cp.validate_critpath_report(report)
     if errors:  # a profiler bug, not a user error — fail loudly
         raise AssertionError(
@@ -1347,13 +1328,13 @@ def build_parser():
         "--critpath",
         action="store_true",
         help="embed per-model critical-path attribution (one extra "
-             "untimed provenance pass per cell; see bench diff)",
+             "untimed observed pass per cell; see bench diff)",
     )
     b_run.add_argument(
         "--telemetry",
         action="store_true",
         help="embed per-cell telemetry summaries (occupancy, overlap, "
-             "idle bubbles; one extra untimed pass per cell)",
+             "idle bubbles; shares the --critpath pass when both are on)",
     )
     b_run.add_argument("--profile-top", type=int, default=15, metavar="K")
     b_run.add_argument(

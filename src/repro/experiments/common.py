@@ -136,53 +136,40 @@ class ExperimentContext:
             self._runs[key] = model.run(plan)
         return self._runs[key]
 
-    def critpath_attribution(self, app, model_name):
-        """Critical-path makespan fractions per component, memoized.
+    def _observe(self, app, model_name, view):
+        """One pass of the memoized plan carrying only ``view``; the
+        memoized :meth:`run_model` result stays observation-free, so
+        experiment signatures are untouched."""
+        # Imported lazily: the observer modules stay out of the import
+        # of this module (and so of repro.cli).
+        from repro.obs.views import observe_plan
 
-        Runs a separate provenance-recording pass (the memoized
-        :meth:`run_model` result stays recording-free), so experiment
-        signatures are untouched.
-        """
+        reorder, window = _model_plan_params(model_name)
+        plan = self.plan_for(app, reorder, window)
+        model = _make_model(model_name, self.gpu_config)
+        return observe_plan(model, plan, (view,))
+
+    def critpath_attribution(self, app, model_name):
+        """Critical-path makespan fractions per component, memoized."""
         model_name = canonical_model_name(model_name)
         key = (app.name, model_name)
         if key not in self._critpaths:
-            # Imported lazily: critpath imports models.base for what-if
-            # replay, so a module-level import here would be a cycle.
-            from repro.obs.critpath import ProvenanceRecorder, build_report
-
-            reorder, window = _model_plan_params(model_name)
-            plan = self.plan_for(app, reorder, window)
-            model = _make_model(model_name, self.gpu_config)
-            prov = ProvenanceRecorder()
-            stats = model.run(plan, provenance=prov)
-            report = build_report(stats, plan, prov, self.gpu_config)
+            observation = self._observe(app, model_name, "critpath")
+            report = observation.critpath_report()
             self._critpaths[key] = dict(report["attribution_fraction"])
         return self._critpaths[key]
 
     def telemetry_summary(self, app, model_name):
-        """Flat telemetry summary (occupancy/overlap/bubbles), memoized.
-
-        Like :meth:`critpath_attribution`, a separate sampler-carrying
-        pass so the memoized :meth:`run_model` result stays
-        observation-free and experiment signatures are untouched.
-        """
+        """Flat telemetry summary (occupancy/overlap/bubbles), memoized."""
         model_name = canonical_model_name(model_name)
         key = (app.name, model_name)
         if key not in self._telemetry:
-            # Lazy for the same reason as critpath: telemetry must not
-            # be imported from repro.obs.__init__ (engine import cycle).
-            from repro.obs.telemetry import (
-                TelemetrySampler,
-                bench_summary,
-                build_report,
-            )
+            from repro.obs.telemetry import bench_summary
 
-            reorder, window = _model_plan_params(model_name)
-            plan = self.plan_for(app, reorder, window)
-            model = _make_model(model_name, self.gpu_config)
-            sampler = TelemetrySampler()
-            stats = model.run(plan, telemetry=sampler)
-            self._telemetry[key] = bench_summary(build_report(stats, sampler))
+            observation = self._observe(app, model_name, "telemetry")
+            self._telemetry[key] = bench_summary(
+                observation.telemetry_report()
+            )
         return self._telemetry[key]
 
     def run_all(self, app, model_names=None):

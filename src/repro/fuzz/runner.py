@@ -165,7 +165,7 @@ def check_case(spec, modes=DEFAULT_MODES, model=DEFAULT_MODEL,
         canonical_model_name,
     )
     from repro.obs import jdiff as jd
-    from repro.obs import journal as jr
+    from repro.obs.views import observe_plan
 
     model_name = canonical_model_name(model)
     reorder, window = _model_plan_params(model_name)
@@ -175,18 +175,20 @@ def check_case(spec, modes=DEFAULT_MODES, model=DEFAULT_MODEL,
     def run_mode(mode):
         runtime = BlockMaestroRuntime(fastpath=mode)
         plan = runtime.plan(app, reorder=reorder, window=window)
-        engine = _make_model(model_name, runtime.config)
-        recorder = jr.JournalRecorder()
-        stats = engine.run(plan, journal=recorder)
-        return plan, stats, recorder, engine
+        return observe_plan(
+            _make_model(model_name, runtime.config), plan, ("journal",)
+        )
 
-    ref_plan, ref_stats, ref_recorder, ref_engine = run_mode(ORACLE_MODE)
+    ref = run_mode(ORACLE_MODE)
+    ref_plan, ref_recorder = ref.plan, ref.journal
     ref_graphs = _graph_fingerprint(ref_plan)
-    ref_signature = ref_stats.simulated_signature()
+    ref_signature = ref.stats.simulated_signature()
     ref_digest = ref_recorder.digest()
 
     for mode in modes:
-        plan, stats, recorder, _engine = run_mode(mode)
+        observation = run_mode(mode)
+        plan, stats = observation.plan, observation.stats
+        recorder = observation.journal
         for ref_kp, kp in zip(ref_plan.kernels, plan.kernels):
             ref_enc, enc = ref_kp.encoded, kp.encoded
             if (ref_enc is None) != (enc is None):
@@ -241,11 +243,12 @@ def check_case(spec, modes=DEFAULT_MODES, model=DEFAULT_MODEL,
                 ),
             ))
 
+    gpu_config = ref.model.gpu_config
     divergences.extend(
-        _engine_sweep(ref_plan, model_name, ref_engine.gpu_config, engines)
+        _engine_sweep(ref_plan, model_name, gpu_config, engines)
     )
     divergences.extend(
-        _oracle_self_checks(ref_plan, ref_signature, model_name, ref_engine)
+        _oracle_self_checks(ref_plan, ref_signature, model_name, gpu_config)
     )
 
     return {
@@ -274,8 +277,8 @@ def _tb_tuple(stats):
 def _engine_sweep(ref_plan, model_name, gpu_config, engines):
     """Check every candidate engine mode against the scalar oracle.
 
-    Observer-free on purpose: journal/provenance/telemetry hooks make
-    the fast engine fall back to the reference path, which would turn
+    Observer-free on purpose: journal/provenance/telemetry observers
+    make the fast engine fall back to the reference path, which would turn
     the sweep into reference-vs-reference.  The case's model is swept
     plus — when it differs — ``baseline``, whose coarse dependency
     options keep every plan fast-engine eligible, so the tier engages
@@ -317,45 +320,35 @@ def _engine_sweep(ref_plan, model_name, gpu_config, engines):
     return divergences
 
 
-def _oracle_self_checks(ref_plan, ref_signature, model_name, ref_engine):
-    """Critpath sum-to-makespan + telemetry consistency on the oracle run."""
+def _oracle_self_checks(ref_plan, ref_signature, model_name, gpu_config):
+    """Critpath sum-to-makespan + telemetry consistency on the oracle
+    plan, from one simulation carrying both views."""
     from repro.experiments.common import _make_model
     from repro.obs import critpath as cp
     from repro.obs import telemetry as tm
+    from repro.obs.views import observe_plan
 
-    divergences = []
-    prov = cp.ProvenanceRecorder()
-    engine = _make_model(model_name, ref_engine.gpu_config)
-    prov_stats = engine.run(ref_plan, provenance=prov)
-    report = cp.build_report(
-        prov_stats, ref_plan, prov, engine.gpu_config,
-        options=engine.options(),
+    observation = observe_plan(
+        _make_model(model_name, gpu_config), ref_plan,
+        ("critpath", "telemetry"),
     )
-    errors = cp.validate_critpath_report(report)
-    if errors:
-        divergences.append(_divergence(
-            "critpath", ORACLE_MODE, detail="; ".join(errors[:3]),
-        ))
-    if prov_stats.simulated_signature() != ref_signature:
-        divergences.append(_divergence(
-            "critpath", ORACLE_MODE,
-            detail="provenance pass perturbed the simulated signature",
-        ))
-
-    sampler = tm.TelemetrySampler()
-    engine = _make_model(model_name, ref_engine.gpu_config)
-    tel_stats = engine.run(ref_plan, telemetry=sampler)
-    tel_report = tm.build_report(tel_stats, sampler)
-    tel_errors = tm.validate_telemetry_report(tel_report)
-    if tel_errors:
-        divergences.append(_divergence(
-            "telemetry", ORACLE_MODE, detail="; ".join(tel_errors[:3]),
-        ))
-    if tel_stats.simulated_signature() != ref_signature:
-        divergences.append(_divergence(
-            "telemetry", ORACLE_MODE,
-            detail="telemetry pass perturbed the simulated signature",
-        ))
+    perturbed = observation.stats.simulated_signature() != ref_signature
+    divergences = []
+    for check, errors in (
+        ("critpath", cp.validate_critpath_report(
+            observation.critpath_report())),
+        ("telemetry", tm.validate_telemetry_report(
+            observation.telemetry_report())),
+    ):
+        if errors:
+            divergences.append(_divergence(
+                check, ORACLE_MODE, detail="; ".join(errors[:3]),
+            ))
+        if perturbed:
+            divergences.append(_divergence(
+                check, ORACLE_MODE,
+                detail="the observed pass perturbed the simulated signature",
+            ))
     return divergences
 
 

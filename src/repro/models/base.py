@@ -74,7 +74,7 @@ from repro.obs import (
     resolve_metrics,
     resolve_tracer,
 )
-from repro.obs.journal import edge_fields as _edge_fields
+from repro.obs.journal import EDGE_KINDS, edge_fields
 from repro.sim.config import GPUConfig
 from repro.sim.device import Device
 from repro.sim.events import EventQueue
@@ -129,25 +129,20 @@ class ExecutionModel:
     ) -> RunStats:
         """Simulate ``plan``; pass a tracer/metrics registry to observe.
 
-        ``provenance`` may be a
-        :class:`repro.obs.critpath.ProvenanceRecorder`; the engine then
-        records per-TB start reasons and kernel launch triggers for
-        critical-path extraction.  ``journal`` may be a
-        :class:`repro.obs.journal.JournalRecorder`; the engine then
-        emits every scheduling event into the flight recorder.
-        ``telemetry`` may be a
-        :class:`repro.obs.telemetry.TelemetrySampler`; the engine then
-        feeds it the same event stream for occupancy/overlap analysis.
+        ``provenance`` (a :class:`repro.obs.critpath.ProvenanceRecorder`),
+        ``journal`` (a :class:`repro.obs.journal.JournalRecorder`) and
+        ``telemetry`` (a :class:`repro.obs.telemetry.TelemetrySampler`)
+        are views of the engine's one event stream
+        (:mod:`repro.obs.views`); any subset rides one simulation.
         Instrumentation is observation only — results are identical
         whether or not a tracer or recorder is attached.
 
         ``engine`` selects the simulation engine
         (:func:`repro.models.fastengine.resolve_engine_mode`; ``None``
         reads ``REPRO_ENGINE``, default ``auto``).  The fast tier
-        produces bit-identical :class:`RunStats`; any run carrying a
-        provenance/journal/telemetry observer silently uses the scalar
-        reference engine, since observers hook per-event injection
-        points the batched tier skips.
+        produces bit-identical :class:`RunStats`; any run carrying an
+        observer silently uses the scalar reference engine, since only
+        it emits the per-event stream.
         """
         # imported lazily: repro.models.fastengine builds on this module
         from repro.models import fastengine
@@ -163,11 +158,8 @@ class ExecutionModel:
             args={"application": plan.application},
         ):
             if mode != "reference":
-                if (
-                    provenance is not None
-                    or journal is not None
-                    or telemetry is not None
-                ):
+                observers = (provenance, journal, telemetry)
+                if any(o is not None for o in observers):
                     metrics.inc("engine.fallback.observers")
                 else:
                     stats = fastengine.run_fast(
@@ -255,14 +247,14 @@ class ExecutionEngine:
         self.opts = options
         self.tracer = resolve_tracer(tracer)
         self.metrics = resolve_metrics(metrics)
-        #: observation-only recorder of scheduling decisions (critpath)
-        self.prov = provenance
-        #: observation-only flight recorder of every engine event
-        self.journal = journal
-        #: observation-only time-series sampler (occupancy, queues, DLB)
-        self.telemetry = telemetry
+        #: observation-only views of the event stream (repro.obs.views)
+        self._observers = tuple(
+            o for o in (provenance, journal, telemetry) if o is not None
+        )
+        #: the flight recorder, whose tail a drain error attaches
+        self._journal = journal
         #: the event context: what kind of event is currently executing
-        #: (provenance annotation only — never consulted for scheduling)
+        #: (release-edge annotation only — never consulted for scheduling)
         self._ctx = ("host",)
         self.events = EventQueue()
         self.device = device if device is not None else Device(
@@ -385,12 +377,8 @@ class ExecutionEngine:
     # main entry
     # ------------------------------------------------------------------
     def run(self) -> RunStats:
-        if self.prov is not None:
-            self.prov.begin(self)
-        if self.journal is not None:
-            self.journal.begin(self)
-        if self.telemetry is not None:
-            self.telemetry.begin(self)
+        for observer in self._observers:
+            observer.begin(self)
         self._init_fine_grain()
         self.events.schedule(0.0, self._host_resume)
         makespan = self.events.run()
@@ -415,27 +403,28 @@ class ExecutionEngine:
         )
         self._check_all_complete()
         stats.validate_invariants()
-        if self.prov is not None:
-            self.prov.finalize(self)
-        if self.journal is not None:
-            self.journal.finalize(self)
-        if self.telemetry is not None:
-            self.telemetry.finalize(self)
+        for observer in self._observers:
+            observer.finalize(self)
         self._emit_trace(stats)
         self._record_metrics(stats)
         return stats
 
-    def _journal_emit(self, kind, **fields):
-        """Emit one flight-recorder event at the current engine time.
+    def _emit(self, kind, **fields):
+        """Send one event, at the current engine time, to every observer.
 
-        Observation only: neither the journal nor the telemetry sampler
-        feeds back into scheduling, so simulated signatures are
-        byte-identical with them on or off.
+        Events of the :data:`~repro.obs.journal.EDGE_KINDS` carry the
+        release edge of the current event context, built once per event
+        and only when an observer is attached.  Observation only: no
+        observer feeds back into scheduling, so simulated signatures are
+        byte-identical with any set of them attached.
         """
-        if self.journal is not None:
-            self.journal.emit(kind, self.events.now, **fields)
-        if self.telemetry is not None:
-            self.telemetry.observe(kind, self.events.now, **fields)
+        if not self._observers:
+            return
+        if kind in EDGE_KINDS:
+            fields["edge"] = edge_fields(self._ctx)
+        now = self.events.now
+        for observer in self._observers:
+            observer.emit(kind, now, **fields)
 
     # ------------------------------------------------------------------
     # observability (pure observation: derived from the finished run's
@@ -524,11 +513,11 @@ class ExecutionEngine:
         if pending_calls:
             bits.append("calls {} incomplete".format(pending_calls[:6]))
         details = {"calls": pending_calls, "kernels": kernel_rows}
-        if self.journal is not None:
+        if self._journal is not None:
             # the flight recorder's black-box tail: the last events the
             # engine processed before stalling, so the report is
             # self-contained without re-running under a debugger
-            tail = self.journal.tail(20)
+            tail = self._journal.tail(20)
             details["journal_tail"] = tail
             bits.append("journal tail attached ({} events)".format(len(tail)))
         return EngineDrainError(
@@ -580,7 +569,7 @@ class ExecutionEngine:
             enqueue_at = issue_at + self.opts.api_call_ns
             self._host_cursor += 1
             self._host_time = enqueue_at
-            self._journal_emit(
+            self._emit(
                 "host_issue",
                 position=position,
                 op=getattr(call, "trace_name", type(call).__name__),
@@ -618,7 +607,7 @@ class ExecutionEngine:
         self.call_enqueued[position] = True
         self.call_enqueued_ns[position] = self.events.now
         call = self.plan.order[position]
-        self._journal_emit(
+        self._emit(
             "call_enqueue",
             position=position,
             op=getattr(call, "trace_name", type(call).__name__),
@@ -655,9 +644,7 @@ class ExecutionEngine:
 
     def _start_command(self, position, call):
         now = self.events.now
-        if self.prov is not None:
-            self.prov.note_call_start(position, now)
-        self._journal_emit(
+        self._emit(
             "call_start",
             position=position,
             op=getattr(call, "trace_name", type(call).__name__),
@@ -683,7 +670,7 @@ class ExecutionEngine:
         self.call_done[position] = True
         self.call_done_ns[position] = self.events.now
         call = self.plan.order[position]
-        self._journal_emit(
+        self._emit(
             "call_complete",
             position=position,
             op=getattr(call, "trace_name", type(call).__name__),
@@ -724,16 +711,9 @@ class ExecutionEngine:
                 self._stream_in_flight[stream] += 1
                 ks.launch_begin_ns = self.events.now
                 ks.input_ready_ns = self._input_ready_ns(position)
-                if self.prov is not None:
-                    self.prov.note_launch_trigger(
-                        ki, self.events.now, self._ctx
-                    )
-                self._journal_emit(
-                    "kernel_launch",
-                    kernel=ki,
-                    name=ks.plan.name,
+                self._emit(
+                    "kernel_launch", kernel=ki, name=ks.plan.name,
                     stream=stream,
-                    edge=_edge_fields(self._ctx),
                 )
                 self.call_started[position] = True
                 self._stream_launch_cursor[stream] = cursor + 1
@@ -787,7 +767,7 @@ class ExecutionEngine:
         ks.resident_ns = self.events.now
         if ks.dispatched < ks.num_tbs:
             insort(self._active, ki)
-        self._journal_emit("kernel_resident", kernel=ki, name=ks.plan.name)
+        self._emit("kernel_resident", kernel=ki, name=ks.plan.name)
         self._refresh_ready(ki)
         self._pump()
 
@@ -862,16 +842,7 @@ class ExecutionEngine:
             return
         ks.ready.append(tb)
         ks.queued_ready += 1
-        if self.prov is not None:
-            self.prov.note_ready(
-                ks.plan.kernel_index, tb, self.events.now, self._ctx
-            )
-        self._journal_emit(
-            "tb_ready",
-            kernel=ks.plan.kernel_index,
-            tb=tb,
-            edge=_edge_fields(self._ctx),
-        )
+        self._emit("tb_ready", kernel=ks.plan.kernel_index, tb=tb)
 
     def _drain_deferred(self, ks):
         capacity = self.opts.ready_capacity
@@ -881,16 +852,7 @@ class ExecutionEngine:
             tb = ks.deferred_ready.popleft()
             ks.ready.append(tb)
             ks.queued_ready += 1
-            if self.prov is not None:
-                self.prov.note_ready(
-                    ks.plan.kernel_index, tb, self.events.now, self._ctx
-                )
-            self._journal_emit(
-                "tb_ready",
-                kernel=ks.plan.kernel_index,
-                tb=tb,
-                edge=_edge_fields(self._ctx),
-            )
+            self._emit("tb_ready", kernel=ks.plan.kernel_index, tb=tb)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -938,16 +900,8 @@ class ExecutionEngine:
                 if sm is None:
                     break  # saturated for this block size; try others
                 tb = ks.ready.popleft()
-                if self.prov is not None:
-                    self.prov.note_start(
-                        ks.plan.kernel_index, tb, now, self._ctx
-                    )
-                self._journal_emit(
-                    "tb_dispatch",
-                    kernel=ks.plan.kernel_index,
-                    tb=tb,
-                    sm=sm,
-                    edge=_edge_fields(self._ctx),
+                self._emit(
+                    "tb_dispatch", kernel=ks.plan.kernel_index, tb=tb, sm=sm,
                 )
                 self._drain_deferred(ks)
                 ks.dispatched += 1
@@ -1004,7 +958,7 @@ class ExecutionEngine:
         now = self.events.now
         ki = ks.plan.kernel_index
         self._ctx = ("tb_finish", ki, tb)
-        self._journal_emit("tb_finish", kernel=ki, tb=tb, sm=sm)
+        self._emit("tb_finish", kernel=ki, tb=tb, sm=sm)
         self.device.release(sm, threads, now)
         ks.finished += 1
         ks.tb_finish_ns[tb] = now
@@ -1022,7 +976,7 @@ class ExecutionEngine:
         if ks.finished == ks.num_tbs:
             ks.all_tbs_done = True
             ks.all_tbs_done_ns = now
-            self._journal_emit("kernel_drain", kernel=ki, name=ks.plan.name)
+            self._emit("kernel_drain", kernel=ki, name=ks.plan.name)
             self._on_all_tbs_done(ki)
             self._ctx = ("tb_finish", ki, tb)  # leaving the cascade
         if child_ki is not None:
@@ -1043,7 +997,7 @@ class ExecutionEngine:
             ks.completed_ns = self.events.now
             self._stream_in_flight[ks.plan.stream] -= 1
             self._ctx = ("completion", idx)
-            self._journal_emit(
+            self._emit(
                 "kernel_complete", kernel=idx, name=ks.plan.name
             )
             self._complete_call(ks.plan.order_position)

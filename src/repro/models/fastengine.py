@@ -51,7 +51,8 @@ Engine selection is per-run via ``REPRO_ENGINE`` (see
 metrics counters and the BENCH report's ``engine`` section.  Whenever a
 journal/provenance/telemetry observer is attached the dispatch seam in
 :meth:`repro.models.base.ExecutionModel.run` keeps the scalar engine,
-since observers hook per-event injection points the batched tier skips.
+since observers read the per-event stream (:mod:`repro.obs.views`)
+that only the scalar engine emits.
 """
 
 import heapq

@@ -2,8 +2,9 @@
 and what-if speedup bounds.
 
 The discrete-event engine can carry a :class:`ProvenanceRecorder`
-(``model.run(plan, provenance=...)``).  Recording is observation only:
-for every thread block the engine notes *which edge released it* —
+(``model.run(plan, provenance=...)``), one view of its event stream
+(:mod:`repro.obs.views`).  Recording is observation only: for every
+thread block the recorder keeps *which edge released it* —
 
 * **dependency** — the last-finishing parent thread block resolved its
   parent counter (Dependency List Buffer behaviour);
@@ -40,6 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.host.api import KernelLaunchCall, MallocCall, MemcpyD2H, MemcpyH2D
+from repro.obs.report import is_number
 from repro.obs.tracer import PID_DEVICE, PID_HOST, PID_SM
 
 CRITPATH_KIND = "repro-critpath-report"
@@ -98,39 +100,41 @@ class TBStart:
     release_edge: EdgeRef  # ready_edge, or an occupancy edge if it waited
 
 
-def _edge_from_ctx(ctx, waited=False):
-    """Map an engine event context tuple to an :class:`EdgeRef`.
+#: journal release-edge kind (repro.obs.journal.edge_fields) -> the
+#: critpath edge kind it stands for
+_EDGE_KIND = {
+    "tb_finish": "dependency",
+    "launch": "launch",
+    "completion": "barrier",
+    "call": "input",
+    "enqueue": "host",
+    "host": "host",
+}
+
+
+def _edge_ref(edge, waited=False):
+    """Map an engine event's release ``edge`` dict to an :class:`EdgeRef`.
 
     ``waited=True`` marks a dispatch that happened strictly after the
     ready push — the releasing resource is an SM slot, so the edge kind
     becomes ``occupancy`` (annotated with whatever freed the slot).
     """
-    kind, rest = (ctx[0], ctx[1:]) if ctx else ("host", ())
+    kernel, tb = edge.get("kernel"), edge.get("tb")
     if waited:
-        if kind == "tb_finish":
-            return EdgeRef("occupancy", kernel=rest[0], tb=rest[1])
-        if kind in ("launch", "completion"):
-            return EdgeRef("occupancy", kernel=rest[0])
-        return EdgeRef("occupancy")
-    if kind == "tb_finish":
-        return EdgeRef("dependency", kernel=rest[0], tb=rest[1])
-    if kind == "launch":
-        return EdgeRef("launch", kernel=rest[0])
-    if kind == "completion":
-        return EdgeRef("barrier", kernel=rest[0])
-    if kind == "call":
-        return EdgeRef("input", position=rest[0])
-    if kind == "enqueue":
-        return EdgeRef("host", position=rest[0])
-    return EdgeRef("host")
+        return EdgeRef("occupancy", kernel=kernel, tb=tb)
+    return EdgeRef(
+        _EDGE_KIND[edge["kind"]], kernel=kernel, tb=tb,
+        position=edge.get("position"),
+    )
 
 
 class ProvenanceRecorder:
     """Observation-only capture of the engine's scheduling decisions.
 
-    The engine calls the ``note_*`` hooks while it runs and
-    :meth:`finalize` when the run completes; nothing here feeds back
-    into the simulation (``RunStats.simulated_signature()`` is
+    An engine observer (:mod:`repro.obs.views`): it keeps the start
+    times of non-kernel commands, the release edges of kernel launches
+    and the ready/start reasons of thread blocks.  Nothing here feeds
+    back into the simulation (``RunStats.simulated_signature()`` is
     byte-identical with recording on or off — tests assert it).
     """
 
@@ -147,30 +151,33 @@ class ProvenanceRecorder:
     def begin(self, engine):
         self.options = engine.opts
 
-    def note_call_start(self, position, now):
-        self.call_start_ns[position] = now
-
-    def note_launch_trigger(self, kernel_index, now, ctx):
-        self.kernel_launch_trigger[kernel_index] = (now, _edge_from_ctx(ctx))
-
-    def note_ready(self, kernel_index, tb, now, ctx):
-        self._ready[(kernel_index, tb)] = (now, _edge_from_ctx(ctx))
-
-    def note_start(self, kernel_index, tb, now, ctx):
-        ready = self._ready.pop((kernel_index, tb), None)
-        if ready is None:
-            ready = (now, _edge_from_ctx(ctx))
-        ready_ns, ready_edge = ready
-        if now - ready_ns <= _EPS:
-            release = ready_edge
-        else:
-            release = _edge_from_ctx(ctx, waited=True)
-        self.tb_starts[(kernel_index, tb)] = TBStart(
-            ready_push_ns=ready_ns,
-            ready_edge=ready_edge,
-            start_ns=now,
-            release_edge=release,
-        )
+    def emit(self, kind, t_ns, **fields):
+        if kind == "tb_dispatch":
+            key = (fields["kernel"], fields["tb"])
+            ready = self._ready.pop(key, None)
+            if ready is None:
+                ready = (t_ns, _edge_ref(fields["edge"]))
+            ready_ns, ready_edge = ready
+            if t_ns - ready_ns <= _EPS:
+                release = ready_edge
+            else:
+                release = _edge_ref(fields["edge"], waited=True)
+            self.tb_starts[key] = TBStart(
+                ready_push_ns=ready_ns,
+                ready_edge=ready_edge,
+                start_ns=t_ns,
+                release_edge=release,
+            )
+        elif kind == "tb_ready":
+            self._ready[(fields["kernel"], fields["tb"])] = (
+                t_ns, _edge_ref(fields["edge"]),
+            )
+        elif kind == "kernel_launch":
+            self.kernel_launch_trigger[fields["kernel"]] = (
+                t_ns, _edge_ref(fields["edge"]),
+            )
+        elif kind == "call_start":
+            self.call_start_ns[fields["position"]] = t_ns
 
     def finalize(self, engine):
         self.call_enqueued_ns = list(engine.call_enqueued_ns)
@@ -619,10 +626,6 @@ def build_report(stats, plan, prov, gpu_config, options=None, whatif=False,
     return report
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def validate_critpath_report(report):
     """Structural + invariant validation; returns problem strings."""
     errors = []
@@ -637,7 +640,7 @@ def validate_critpath_report(report):
         if not isinstance(report.get(key), str):
             errors.append("{}: missing or not a string".format(key))
     makespan = report.get("makespan_ns")
-    if not _is_number(makespan):
+    if not is_number(makespan):
         errors.append("makespan_ns: missing or not a number")
         return errors
     attribution = report.get("attribution_ns")
@@ -645,14 +648,14 @@ def validate_critpath_report(report):
         errors.append("attribution_ns: missing or not an object")
         return errors
     for key in COMPONENT_KEYS:
-        if not _is_number(attribution.get(key)):
+        if not is_number(attribution.get(key)):
             errors.append("attribution_ns.{}: missing or not a number"
                           .format(key))
     unknown = set(attribution) - set(COMPONENT_KEYS)
     if unknown:
         errors.append("attribution_ns: unknown components {}".format(
             sorted(unknown)))
-    total = sum(v for v in attribution.values() if _is_number(v))
+    total = sum(v for v in attribution.values() if is_number(v))
     tol = max(1e-3, 1e-9 * abs(makespan))
     if abs(total - makespan) > tol:
         errors.append(
@@ -669,8 +672,8 @@ def validate_critpath_report(report):
     else:
         for i, seg in enumerate(path["segments"]):
             if not isinstance(seg, dict) or seg.get("kind") not in \
-                    COMPONENT_KEYS or not _is_number(seg.get("t0_ns")) \
-                    or not _is_number(seg.get("t1_ns")):
+                    COMPONENT_KEYS or not is_number(seg.get("t0_ns")) \
+                    or not is_number(seg.get("t1_ns")):
                 errors.append(
                     "critical_path.segments[{}]: malformed".format(i))
                 break
@@ -688,13 +691,13 @@ def validate_critpath_report(report):
                     errors.append("{}: not an object".format(where))
                     continue
                 bound = entry.get("bound_makespan_ns")
-                if not _is_number(bound):
+                if not is_number(bound):
                     errors.append("{}.bound_makespan_ns: missing".format(where))
                 elif bound > makespan + tol:
                     errors.append(
                         "{}: bound {} exceeds makespan {}".format(
                             where, bound, makespan))
-                if not _is_number(entry.get("speedup_bound")):
+                if not is_number(entry.get("speedup_bound")):
                     errors.append("{}.speedup_bound: missing".format(where))
     return errors
 

@@ -1,13 +1,13 @@
 """The unified flight report: one self-contained HTML artifact per run.
 
 ``repro report <workload>`` performs a *single* engine run carrying all
-three observation-only recorders at once — critical-path provenance,
-the journal flight recorder, and the telemetry sampler — then stitches
-their outputs into one shareable HTML page: telemetry timelines
-(occupancy, queues, DLB/PCB) as inline SVG, per-kernel execution spans,
-the critpath attribution bar, the achieved-overlap table, the idle-
-bubble blame table, the journal digest, and (optionally) the latest
-``bench diff`` deltas.
+three views of its event stream at once (:mod:`repro.obs.views`) —
+critical-path provenance, the journal flight recorder, and the
+telemetry sampler — then stitches their outputs into one shareable
+HTML page: telemetry timelines (occupancy, queues, DLB/PCB) as inline
+SVG, per-kernel execution spans, the critpath attribution bar, the
+achieved-overlap table, the idle-bubble blame table, the journal
+digest, and (optionally) the latest ``bench diff`` deltas.
 
 The page is fully self-contained — inline CSS, inline SVG, zero
 external assets — so it can be attached to a CI run or an issue and
@@ -22,11 +22,7 @@ imported from ``repro.obs.__init__`` — it imports the engine.
 import html
 import json
 
-from repro.obs.telemetry import (
-    BUBBLE_BLAME_KINDS,
-    TelemetrySampler,
-    build_report as build_telemetry_report,
-)
+from repro.obs.telemetry import BUBBLE_BLAME_KINDS
 
 #: section order of the rendered page
 FLIGHT_SECTIONS = (
@@ -49,40 +45,18 @@ def build_flight_data(workload, model="consumer3", build_small=False,
     ``critpath`` (validated report), ``journal_header``, ``blame_rows``
     and optionally ``bench_delta``.
     """
-    # Imported lazily: the engine imports repro.obs at module load.
-    from repro.core.runtime import BlockMaestroRuntime
-    from repro.experiments.common import (
-        _make_model,
-        _model_plan_params,
-        canonical_model_name,
-    )
-    from repro.obs.critpath import ProvenanceRecorder
-    from repro.obs.critpath import build_report as build_critpath_report
-    from repro.obs.journal import JournalRecorder
     from repro.obs.report import kernel_blame_rows
-    from repro.workloads import get_workload
+    from repro.obs.views import observe_workload
 
-    spec = get_workload(workload)
-    app = spec.build_small() if build_small else spec.build()
-    model_name = canonical_model_name(model)
-    reorder, window = _model_plan_params(model_name)
-    plan = BlockMaestroRuntime().plan(app, reorder=reorder, window=window)
-    engine_model = _make_model(model_name, None)
-    prov = ProvenanceRecorder()
-    journal = JournalRecorder()
-    sampler = TelemetrySampler()
-    stats = engine_model.run(
-        plan, provenance=prov, journal=journal, telemetry=sampler
-    )
+    observation = observe_workload(workload, model, build_small=build_small)
+    stats = observation.stats
     data = {
-        "workload": spec.name,
-        "model": model_name,
+        "workload": stats.application,
+        "model": stats.model,
         "stats": stats,
-        "telemetry": build_telemetry_report(stats, sampler),
-        "critpath": build_critpath_report(
-            stats, plan, prov, engine_model.gpu_config
-        ),
-        "journal_header": journal.header(),
+        "telemetry": observation.telemetry_report(),
+        "critpath": observation.critpath_report(),
+        "journal_header": observation.journal.header(),
         "blame_rows": kernel_blame_rows(stats),
         "bench_delta": None,
     }

@@ -1,8 +1,9 @@
 """Execution journal: a deterministic flight recorder for the engine.
 
 The discrete-event engine can carry a :class:`JournalRecorder`
-(``model.run(plan, journal=...)``).  Recording is observation only: the
-engine emits one journal event at every scheduling decision it makes —
+(``model.run(plan, journal=...)``), one view of its event stream
+(:mod:`repro.obs.views`).  Recording is observation only: the engine
+emits one event at every scheduling decision it makes —
 host API issue, command enqueue/start/complete, kernel launch begin and
 residency, thread-block ready/dispatch/finish with the *release edge*
 that caused it, kernel drain, and the in-order completion barrier.
@@ -31,6 +32,8 @@ at module load, and :func:`record_run` imports the engine.
 
 import hashlib
 import json
+
+from repro.obs.report import is_number
 
 JOURNAL_KIND = "repro-journal"
 JOURNAL_SCHEMA_VERSION = 1
@@ -217,10 +220,6 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 #: per-kind required integer fields (beyond seq/t_ns/kind)
 _REQUIRED_FIELDS = {
     "host_issue": ("position",),
@@ -276,7 +275,7 @@ def validate_journal(header, events):
             )
             break
         t_ns = event.get("t_ns")
-        if not _is_number(t_ns):
+        if not is_number(t_ns):
             errors.append("{}: t_ns missing or not a number".format(where))
             break
         if t_ns + 1e-9 < previous_t:
@@ -312,27 +311,14 @@ def validate_journal(header, events):
 def record_run(workload, model="consumer3", build_small=False):
     """Build, plan, and simulate one registry workload with a journal.
 
-    Returns ``(recorder, stats)``.  This is the one code path behind
-    ``repro journal``, the forensics re-recorder, and the determinism
-    tests, so every journal of a given (workload, model) is produced
-    identically.
+    Returns ``(recorder, stats)``.  Behind ``repro journal``, the
+    forensics re-recorder and the determinism tests; like every view it
+    is produced by :func:`repro.obs.views.observe_workload`.
     """
-    # Imported lazily: the engine imports repro.obs at module load, so a
-    # module-level import here would be a cycle.
-    from repro.core.runtime import BlockMaestroRuntime
-    from repro.experiments.common import (
-        _make_model,
-        _model_plan_params,
-        canonical_model_name,
-    )
-    from repro.workloads import get_workload
+    # Imported lazily: views imports this module.
+    from repro.obs.views import observe_workload
 
-    spec = get_workload(workload)
-    app = spec.build_small() if build_small else spec.build()
-    model_name = canonical_model_name(model)
-    reorder, window = _model_plan_params(model_name)
-    plan = BlockMaestroRuntime().plan(app, reorder=reorder, window=window)
-    engine_model = _make_model(model_name, None)
-    recorder = JournalRecorder()
-    stats = engine_model.run(plan, journal=recorder)
-    return recorder, stats
+    observation = observe_workload(
+        workload, model, ("journal",), build_small=build_small
+    )
+    return observation.journal, observation.stats

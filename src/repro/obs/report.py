@@ -19,6 +19,12 @@ import sys
 import tempfile
 
 
+def is_number(value):
+    """A JSON number: an int or float, but not a bool (the report
+    validators' one numeric-field check)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def atomic_write_text(text, path):
     """The one file writer behind every ``--out``/``-o`` artifact flag.
 

@@ -1,12 +1,12 @@
 """Hardware telemetry: time-series sampling + overlap/utilization analysis.
 
 :class:`TelemetrySampler` is an observation-only recorder attached to
-one engine run (``model.run(plan, telemetry=...)``).  It rides the same
-injection seam as the critical-path provenance recorder and the journal
-flight recorder — every ``_journal_emit`` event also reaches
-:meth:`TelemetrySampler.observe` — and, like them, never feeds back
-into scheduling: simulated signatures are byte-identical with sampling
-on or off (tests and CI machine-check this).
+one engine run (``model.run(plan, telemetry=...)``).  Like the
+critical-path provenance recorder and the journal flight recorder, it
+is a view of the engine's one event stream (:mod:`repro.obs.views`)
+and never feeds back into scheduling: simulated signatures are
+byte-identical with sampling on or off (tests and CI machine-check
+this).
 
 From the event stream the sampler maintains O(1) incremental counters
 and appends one sample per simulated timestamp at which device state
@@ -51,6 +51,8 @@ load, and :func:`record_telemetry` imports the engine.
 """
 
 import math
+
+from repro.obs.report import is_number
 
 TELEMETRY_KIND = "repro-telemetry-report"
 TELEMETRY_SCHEMA_VERSION = 1
@@ -99,7 +101,7 @@ class TelemetrySampler:
     """Observation-only occupancy/queue sampler for one engine run.
 
     The engine calls :meth:`begin` before the first event,
-    :meth:`observe` at every scheduling decision (the same stream the
+    :meth:`emit` at every scheduling decision (the same stream the
     journal records), and :meth:`finalize` when the run completes.
     ``samples`` is the deterministically ordered raw series; derived
     metrics live in :func:`build_report`.
@@ -176,7 +178,7 @@ class TelemetrySampler:
                     self._pcb_on_resident[kp.kernel_index] = counted
                     self._pcb_child[kp.kernel_index] = own.parent_counts
 
-    def observe(self, kind, t_ns, **fields):
+    def emit(self, kind, t_ns, **fields):
         """Fold one engine event into the counters and take a sample."""
         if kind == "tb_ready":
             self._ready += 1
@@ -515,10 +517,6 @@ def bench_summary(report):
 # ----------------------------------------------------------------------
 # validation
 # ----------------------------------------------------------------------
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def validate_telemetry_report(report):
     """Structural + invariant validation; returns problem strings."""
     errors = []
@@ -534,7 +532,7 @@ def validate_telemetry_report(report):
         if not isinstance(report.get(key), str):
             errors.append("{}: missing or not a string".format(key))
     makespan = report.get("makespan_ns")
-    if not _is_number(makespan) or makespan < 0:
+    if not is_number(makespan) or makespan < 0:
         errors.append("makespan_ns: missing or negative")
         makespan = 0.0
     series = report.get("series")
@@ -548,7 +546,7 @@ def validate_telemetry_report(report):
                 errors.append("series.{}: missing or not a list".format(key))
                 continue
             lengths.add(len(column))
-            if any(not _is_number(v) for v in column):
+            if any(not is_number(v) for v in column):
                 errors.append("series.{}: non-numeric sample".format(key))
         if len(lengths) > 1:
             errors.append("series: columns have unequal lengths")
@@ -572,7 +570,7 @@ def validate_telemetry_report(report):
         errors.append("kernels: missing or not a list")
     else:
         for i, row in enumerate(kernels):
-            if not isinstance(row, dict) or not _is_number(
+            if not isinstance(row, dict) or not is_number(
                 row.get("span_ns")
             ):
                 errors.append("kernels[{}]: missing span_ns".format(i))
@@ -592,14 +590,14 @@ def validate_telemetry_report(report):
             for key in (
                 "overlap_ns", "overlap_fraction", "tb_overlap_fraction"
             ):
-                if not _is_number(pair.get(key)):
+                if not is_number(pair.get(key)):
                     errors.append("{}.{}: missing".format(where, key))
             floor = min(
                 spans.get(pair.get("a"), float("inf")),
                 spans.get(pair.get("b"), float("inf")),
             )
             if (
-                _is_number(pair.get("overlap_ns"))
+                is_number(pair.get("overlap_ns"))
                 and floor != float("inf")
                 and pair["overlap_ns"] > floor + _EPS
             ):
@@ -610,7 +608,7 @@ def validate_telemetry_report(report):
                 )
             for key in ("overlap_fraction", "tb_overlap_fraction"):
                 value = pair.get(key)
-                if _is_number(value) and not -1e-9 <= value <= 1 + 1e-9:
+                if is_number(value) and not -1e-9 <= value <= 1 + 1e-9:
                     errors.append(
                         "{}.{}: {} outside [0, 1]".format(where, key, value)
                     )
@@ -625,8 +623,8 @@ def validate_telemetry_report(report):
         for i, span in enumerate(bubbles["spans"]):
             where = "bubbles.spans[{}]".format(i)
             if not isinstance(span, dict) or not (
-                _is_number(span.get("start_ns"))
-                and _is_number(span.get("end_ns"))
+                is_number(span.get("start_ns"))
+                and is_number(span.get("end_ns"))
             ):
                 errors.append("{}: malformed".format(where))
                 continue
@@ -640,7 +638,7 @@ def validate_telemetry_report(report):
                 errors.append("{}: extends past the makespan".format(where))
             previous_end = span["end_ns"]
             total += span["end_ns"] - span["start_ns"]
-        if _is_number(bubbles.get("total_ns")) and abs(
+        if is_number(bubbles.get("total_ns")) and abs(
             bubbles["total_ns"] - total
         ) > _EPS:
             errors.append("bubbles.total_ns: does not match its spans")
@@ -649,7 +647,7 @@ def validate_telemetry_report(report):
         errors.append("utilization: missing or not an object")
     else:
         for key in UTILIZATION_KEYS:
-            if not _is_number(utilization.get(key)):
+            if not is_number(utilization.get(key)):
                 errors.append("utilization.{}: missing".format(key))
     consistency = report.get("consistency")
     if not isinstance(consistency, dict):
@@ -657,7 +655,7 @@ def validate_telemetry_report(report):
     else:
         for key in ("busy_ns_error", "tiling_error_ns"):
             value = consistency.get(key)
-            if not _is_number(value):
+            if not is_number(value):
                 errors.append("consistency.{}: missing".format(key))
             elif value > max(_EPS, 1e-9 * makespan):
                 errors.append(
@@ -877,26 +875,14 @@ def write_prometheus(report):
 def record_telemetry(workload, model="consumer3", build_small=False):
     """Build, plan, and simulate one registry workload with telemetry.
 
-    Returns ``(sampler, stats)`` — the one code path behind ``repro
-    telemetry``, the flight report, and the bench integration, so every
-    report of a given (workload, model) is produced identically.
+    Returns ``(sampler, stats)``.  Behind ``repro telemetry`` and the
+    daemon; like every view it is produced by
+    :func:`repro.obs.views.observe_workload`.
     """
-    # Imported lazily: the engine imports repro.obs at module load, so a
-    # module-level import here would be a cycle.
-    from repro.core.runtime import BlockMaestroRuntime
-    from repro.experiments.common import (
-        _make_model,
-        _model_plan_params,
-        canonical_model_name,
-    )
-    from repro.workloads import get_workload
+    # Imported lazily: views imports this module.
+    from repro.obs.views import observe_workload
 
-    spec = get_workload(workload)
-    app = spec.build_small() if build_small else spec.build()
-    model_name = canonical_model_name(model)
-    reorder, window = _model_plan_params(model_name)
-    plan = BlockMaestroRuntime().plan(app, reorder=reorder, window=window)
-    engine_model = _make_model(model_name, None)
-    sampler = TelemetrySampler()
-    stats = engine_model.run(plan, telemetry=sampler)
-    return sampler, stats
+    observation = observe_workload(
+        workload, model, ("telemetry",), build_small=build_small
+    )
+    return observation.telemetry, observation.stats

@@ -223,24 +223,16 @@ def compare_result(state, params):
 
 def critpath_result(state, params):
     """``/v1/critpath`` — the schema-validated critpath report."""
-    from repro.core.runtime import BlockMaestroRuntime
-    from repro.experiments.common import _make_model, _model_plan_params
     from repro.obs import critpath as cp
+    from repro.obs.views import observe_workload
 
     with state.sim_lock:
         state.metrics.inc("serve.sim.critpath")
-        prov = cp.ProvenanceRecorder()
-        spec = get_workload(params["workload"])
-        app = spec.build()
-        reorder, window = _model_plan_params(params["model"])
-        runtime = BlockMaestroRuntime(cache=state.analysis_cache)
-        plan = runtime.plan(app, reorder=reorder, window=window)
-        model = _make_model(params["model"], runtime.config)
-        stats = model.run(plan, provenance=prov)
-        report = cp.build_report(
-            stats, plan, prov, model.gpu_config,
-            options=model.options(), whatif=params["whatif"],
+        observation = observe_workload(
+            params["workload"], params["model"], ("critpath",),
+            cache=state.analysis_cache,
         )
+        report = observation.critpath_report(whatif=params["whatif"])
     errors = cp.validate_critpath_report(report)
     if errors:  # a profiler bug, not a user error — fail loudly
         raise AssertionError(

@@ -10,7 +10,7 @@ may not perturb a single edge.  Two gates:
   be the one ``auto`` mode advertises through the metrics counters;
 * **signature identity** — a full simulation pass under ``auto`` must
   produce byte-identical :meth:`RunStats.simulated_signature` output to
-  one under ``REPRO_FASTPATH=off``.
+  one under ``REPRO_FASTPATH=reference``.
 """
 
 import json
@@ -55,12 +55,12 @@ def test_every_tier_matches_reference(wname, hazards):
 
 @pytest.mark.parametrize("wname", ["fft", "gaussian", "lud", "nw"])
 def test_simulated_signature_identical_across_modes(wname, monkeypatch):
-    """End to end: fastpath on vs off, signatures byte-identical."""
+    """End to end: fast path vs reference, signatures byte-identical."""
     from repro.experiments.common import _make_model
 
     spec = get_workload(wname)
     signatures = {}
-    for mode in ("auto", "off"):
+    for mode in ("auto", "reference"):
         monkeypatch.setenv("REPRO_FASTPATH", mode)
         app = spec.build_small()
         runtime = BlockMaestroRuntime(metrics=MetricsRegistry())
@@ -70,7 +70,7 @@ def test_simulated_signature_identical_across_modes(wname, monkeypatch):
         signatures[mode] = json.dumps(
             stats.simulated_signature(), sort_keys=True
         )
-    assert signatures["auto"] == signatures["off"]
+    assert signatures["auto"] == signatures["reference"]
 
 
 def test_auto_mode_uses_fast_tiers_on_registry():

@@ -16,6 +16,9 @@ The iteration caps are drawn small too, so loops that never exit — and
 exits just past a cap — are checked as often as ordinary ones.  At every
 corner the closed form must prove the count (never decline) and equal
 ``_simulate_loop``; the two tiers' kernel summaries must be identical.
+
+A second strategy bounds the loop by ``%ctaid.x``: the analyzer's trip
+count must then be the maximum over every block of the grid.
 """
 
 from unittest import mock
@@ -24,7 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import analyzer
-from repro.analysis.analyzer import LaunchConfig, analyze_kernel
+from repro.analysis.affine import CTAID
+from repro.analysis.analyzer import LaunchConfig, _Interpreter, analyze_kernel
 from repro.ptx.parser import parse_kernel
 
 from tests.conftest import trip_corner_counts
@@ -126,3 +130,46 @@ def test_both_tiers_give_identical_summaries(case):
     assert fast.fallback_detail == oracle.fallback_detail
     assert fast.records == oracle.records
     assert fast.dynamic_mix == oracle.dynamic_mix
+
+
+@st.composite
+def block_bounded_loops(draw):
+    """Counted up to ``%ctaid.x`` (plus an offset): each block's own
+    trip count grows with its index."""
+    add = "add.s32 %k, %k, {};".format(draw(st.integers(1, 3)))
+    add_first = draw(st.booleans())
+    source = LOOP_TEMPLATE.format(
+        init="mov.s32 %k, {};".format(draw(st.integers(0, 6))),
+        add_before=add if add_first else "",
+        add_after="" if add_first else add,
+        cmp=draw(st.sampled_from(("lt", "le"))),
+        lhs="%k",
+        rhs="%rC",
+        neg="",
+    ).replace(
+        "LOOP:", "add.s32 %rC, %r1, {};\nLOOP:".format(
+            draw(st.integers(0, 4))
+        ),
+    )
+    launch = LaunchConfig.create(
+        grid=draw(st.integers(1, 6)),
+        block=draw(st.integers(1, 4)),
+        args={"A": 0, "S": 1, "B": 0},
+    )
+    return parse_kernel(source), launch
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_bounded_loops())
+def test_trip_count_is_the_maximum_over_blocks(case):
+    kernel, launch = case
+    interp = _Interpreter(kernel, launch, max_intervals=64)
+    loop = interp.loops[0]
+    interp._exec_range(0, loop.header)
+    state0 = dict(interp.state)
+    per_block = [
+        interp._simulate_loop(loop, state0, {**corner, CTAID("x"): block})
+        for corner in interp._corners(state0)
+        for block in range(launch.grid[0])
+    ]
+    assert interp._trip_count(loop, state0) == max(per_block)

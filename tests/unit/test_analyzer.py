@@ -173,6 +173,31 @@ class TestFallbacks:
         summary = analyze_kernel(kernel, launch)
         assert summary.fallback == "non_static"
 
+    def test_overlapping_back_edges_are_irreducible(self):
+        kernel = parse_kernel(
+            """
+.visible .entry tangle (.param .u64 A)
+{
+    ld.param.u64 %rdA, [A];
+    mov.u32 %k, 0;
+L1:
+    add.u32 %k, %k, 1;
+L2:
+    setp.lt.u32 %p, %k, 4;
+    @%p bra L1;
+    add.u32 %k, %k, 2;
+    setp.lt.u32 %q, %k, 8;
+    @%q bra L2;
+    st.global.f32 [%rdA], 0.0;
+    ret;
+}
+"""
+        )
+        launch = LaunchConfig.create(grid=1, block=32, args={"A": 0})
+        summary = analyze_kernel(kernel, launch)
+        assert summary.fallback == "irreducible"
+        assert "overlap" in summary.fallback_detail
+
     def test_fallback_keeps_static_mix(self, indirect_kernel):
         launch = LaunchConfig.create(
             grid=1, block=32, args={"DATA": 0, "IDX": 1 << 16, "OUT": 1 << 17}

@@ -16,12 +16,16 @@ from repro.analysis.analyzer import (
     _trip_certificate,
     analyze_kernel,
 )
+from repro.analysis.intervals import IntervalSet
 from repro.obs.metrics import MetricsRegistry
 from repro.ptx.parser import parse_kernel
 
 from tests.conftest import trip_corner_counts
 
 LAUNCH = LaunchConfig.create(grid=2, block=4, args={"A": 0, "N": 10})
+#: corners the analyzer binds in ``_kernel`` under LAUNCH: both ends of
+#: the live %tid.x and %ctaid.x ranges
+CORNERS = 4
 
 
 def _kernel(body, init="mov.u32 %k, 0;", tail=""):
@@ -96,14 +100,14 @@ class TestCertified:
 
         monkeypatch.setattr(analyzer, "_trip_certificate", counting)
         tiers = _tiers(_kernel(COUNTED))
-        assert tiers[True][1] == {"closed_form": 2}
-        assert len(calls) == 1  # two corners, one derivation
+        assert tiers[True][1] == {"closed_form": CORNERS}
+        assert len(calls) == 1  # four corners, one derivation
 
     def test_counters_and_summaries(self):
         tiers = _tiers(_kernel(COUNTED))
         _assert_same_summary(tiers)
-        assert tiers[True][1] == {"closed_form": 2}  # the two tid.x ends
-        assert tiers[False][1] == {"simulated": 2}
+        assert tiers[True][1] == {"closed_form": CORNERS}
+        assert tiers[False][1] == {"simulated": CORNERS}
 
     def test_swapped_operands(self):
         kernel = _kernel(COUNTED.replace("lt.u32 %p, %k, %rN", "gt.u32 %p, %rN, %k"))
@@ -124,7 +128,7 @@ class TestFirstCheckFails:
 
     def test_counts_agree_per_corner(self):
         kernel = _kernel(COUNTED, init="mov.u32 %k, 50;")
-        assert trip_corner_counts(kernel, LAUNCH) == [(1, 1)] * 2
+        assert trip_corner_counts(kernel, LAUNCH) == [(1, 1)] * CORNERS
 
 
 DECLINED_BODIES = {
@@ -206,7 +210,7 @@ INNER:
         assert _trip_certificate(kernel, inner) is not None
         tiers = _tiers(kernel)
         _assert_same_summary(tiers)
-        assert tiers[True][1]["simulated"] == 2
+        assert tiers[True][1]["simulated"] == CORNERS
         assert tiers[True][1]["closed_form"] > 0
 
     def test_unbound_init_declines_per_corner(self):
@@ -215,7 +219,7 @@ INNER:
         kernel = _kernel(COUNTED, init="mov.u32 %k, %laneid;")
         assert _trip_certificate(kernel, _loop(kernel)) is not None
         counts = trip_corner_counts(kernel, LAUNCH)
-        assert counts == [(analyzer._DECLINED, None)] * 2
+        assert counts == [(analyzer._DECLINED, None)] * CORNERS
         tiers = _tiers(kernel)
         _assert_same_summary(tiers)
         assert tiers[True][0].fallback == "loop_bounds"
@@ -227,7 +231,44 @@ INNER:
                          init="mov.u32 %k, 50;")
         assert trip_corner_counts(kernel, LAUNCH) == [
             (analyzer._DECLINED, 1)
-        ] * 2
+        ] * CORNERS
+
+
+class TestGridCorners:
+    """A %ctaid.x symbol is bound to both ends of the grid, so a loop
+    bounded by it counts the trips of the grid's last block."""
+
+    UPTO = """
+.visible .entry upto (.param .u64 A)
+{
+    ld.param.u64 %rdA, [A];
+    mov.u32 %r1, %ctaid.x;
+    mov.u32 %k, 0;
+LOOP:
+    mad.lo.u32 %r2, %k, %ntid.x, %tid.x;
+    mul.wide.u32 %rd1, %r2, 4;
+    add.u64 %rd2, %rdA, %rd1;
+    ld.global.f32 %f1, [%rd2];
+    add.u32 %k, %k, 1;
+    setp.le.u32 %p, %k, %r1;
+    @%p bra LOOP;
+    ret;
+}
+"""
+
+    def test_last_block_footprint(self):
+        # k = 0..ctaid.x: block 3 of 4 reads four rows of four floats
+        launch = LaunchConfig.create(grid=4, block=4, args={"A": 0})
+        tiers = _tiers(parse_kernel(self.UPTO), launch)
+        _assert_same_summary(tiers)
+        summary = tiers[True][0]
+        assert summary.fallback is None
+        assert summary.tb_reads(3) == IntervalSet.single(0, 16 * 4)
+
+    def test_corners_span_the_grid(self):
+        launch = LaunchConfig.create(grid=4, block=4, args={"A": 0})
+        counts = trip_corner_counts(parse_kernel(self.UPTO), launch)
+        assert counts == [(1, 1), (4, 4)]  # ctaid.x = 0 and 3
 
 
 class TestCaps:
@@ -257,7 +298,7 @@ class TestCaps:
         monkeypatch.setattr(analyzer, "STEP_CAP", 500)
         kernel = _kernel(COUNTED.replace("%k, %k, 1", "%k, %k, -1"))
         counts = trip_corner_counts(kernel, LAUNCH)
-        assert counts == [(None, None)] * 2
+        assert counts == [(None, None)] * CORNERS
         tiers = _tiers(kernel)
         _assert_same_summary(tiers)
         assert tiers[True][0].fallback == "loop_bounds"
